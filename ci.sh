@@ -17,10 +17,12 @@ run_clippy() { cargo clippy --workspace --all-targets -- -D warnings; }
 # error (or a demoted replica), never an unwrap — and the observability layer
 # must never be the thing that crashes the process it observes. psb-geom is on
 # the wall because the SIMD/scalar distance evaluators sit on every kernel's
-# innermost loop.
+# innermost loop; psb-rtree because its arena sweeps are on every R-tree kernel
+# path, with no fallback read path behind them.
 # (clippy.toml re-allows unwrap/expect inside #[cfg(test)].)
 run_hardlint() {
-    cargo clippy -p psb-geom -p psb-core -p psb-sstree -p psb-kdtree -p psb-serve -p psb-metrics \
+    cargo clippy -p psb-geom -p psb-core -p psb-sstree -p psb-rtree -p psb-kdtree -p psb-serve \
+        -p psb-metrics \
         --all-targets -- \
         -D warnings -D clippy::unwrap_used -D clippy::expect_used
 }
@@ -123,7 +125,7 @@ case "$stage" in
     all)
         echo "== cargo fmt --check ==" && run_fmt
         echo "== cargo clippy -D warnings ==" && run_clippy
-        echo "== cargo clippy (no unwrap/expect in core+sstree+serve+metrics) ==" && run_hardlint
+        echo "== cargo clippy (no unwrap/expect in geom+core+sstree+rtree+kdtree+serve+metrics) ==" && run_hardlint
         echo "== cargo test ==" && run_test
         echo "== fault-injection suite ==" && run_faults
         echo "== sharded serving suite ==" && run_shard

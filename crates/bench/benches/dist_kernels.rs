@@ -1,10 +1,10 @@
 //! Microbenchmarks for the dimension-specialized distance layer and the two
-//! sweep paths it feeds: the packed-arena child/leaf sweeps vs the legacy
-//! scattered gather. These are the host inner loops the `bench` binary's
-//! end-to-end numbers (BENCH_psb.json) decompose into.
+//! packed-arena sweeps it feeds (child volumes and leaf points). These are
+//! the host inner loops the `bench` binary's end-to-end numbers
+//! (BENCH_psb.json) decompose into.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use psb_core::{gather_child_sweep, gather_leaf_sweep, GpuIndex, SweepScratch};
+use psb_core::{BoundingVolumeIndex, SweepScratch};
 use psb_data::UniformSpec;
 use psb_geom::{sq_dist, sq_dist_d, sq_dist_simd, DistKernel, DistLanes};
 use psb_sstree::{build, BuildMethod, SsTree};
@@ -103,7 +103,7 @@ fn tree_and_query(dims: usize) -> (SsTree, Vec<f32>) {
 }
 
 /// The per-internal-node child sweep (the host side of `child_distances`):
-/// packed-arena streaming vs the legacy scattered gather on the same node.
+/// one streamed pass over the node's packed arena block.
 fn bench_child_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("child_sweep");
     g.sample_size(20);
@@ -111,27 +111,21 @@ fn bench_child_sweep(c: &mut Criterion) {
     g.warm_up_time(std::time::Duration::from_millis(300));
     for dims in [4usize, 16] {
         let (tree, q) = tree_and_query(dims);
-        let root = GpuIndex::root(&tree);
+        let root = tree.root;
         let dk = DistKernel::for_dims(dims);
         let mut out = SweepScratch::default();
         g.bench_with_input(BenchmarkId::new("arena", dims), &dims, |bch, _| {
             bch.iter(|| {
                 out.clear();
-                tree.child_sweep(root, &q, &dk, true, true, &mut out);
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("gather", dims), &dims, |bch, _| {
-            bch.iter(|| {
-                out.clear();
-                gather_child_sweep(&tree, root, &q, true, true, &mut out);
+                std::hint::black_box(tree.child_sweep(root, &q, &dk, true, true, &mut out))
             })
         });
     }
     g.finish();
 }
 
-/// The per-leaf point sweep (the host side of `process_leaf`): packed run vs
-/// per-point gather on the same leaf.
+/// The per-leaf point sweep (the host side of `process_leaf`) over the leaf's
+/// packed point run.
 fn bench_leaf_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("leaf_sweep");
     g.sample_size(20);
@@ -140,9 +134,9 @@ fn bench_leaf_sweep(c: &mut Criterion) {
     for dims in [4usize, 16] {
         let (tree, q) = tree_and_query(dims);
         // Walk to the leftmost leaf.
-        let mut n = GpuIndex::root(&tree);
-        while !GpuIndex::is_leaf(&tree, n) {
-            n = GpuIndex::children(&tree, n).start;
+        let mut n = tree.root;
+        while !tree.is_leaf(n) {
+            n = tree.children(n).start;
         }
         let dk = DistKernel::for_dims(dims);
         let mut out: Vec<(f32, u32)> = Vec::new();
@@ -150,13 +144,7 @@ fn bench_leaf_sweep(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("arena", dims), &dims, |bch, _| {
             bch.iter(|| {
                 out.clear();
-                tree.leaf_sweep(n, &q, &dk, &mut tmp, &mut out);
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("gather", dims), &dims, |bch, _| {
-            bch.iter(|| {
-                out.clear();
-                gather_leaf_sweep(&tree, n, &q, &mut out);
+                std::hint::black_box(tree.leaf_sweep(n, &q, &dk, &mut tmp, &mut out))
             })
         });
     }

@@ -7,18 +7,15 @@
 //! kernels over both index types, on uniform and gaussian workloads.
 //!
 //! ```text
-//! cargo run --release -p psb-bench --bin bench                  # arena layout
-//! cargo run --release -p psb-bench --bin bench -- --legacy-layout
+//! cargo run --release -p psb-bench --bin bench
 //! cargo run --release -p psb-bench --bin bench -- --smoke --out target/BENCH_smoke.json
 //! cargo run --release -p psb-bench --bin bench -- --metrics target/metrics.prom
 //! cargo run --release -p psb-bench --bin bench -- compare old.json new.json
 //! ```
 //!
-//! The default (arena) run additionally times the headline workload — PSB on
-//! a 16-dim uniform SS-tree — with the arena stripped, and records the ratio
-//! as `speedup_vs_legacy`. `--smoke` shrinks every workload to seconds-scale,
-//! then self-validates the emitted JSON (required keys present, finite and
-//! nonzero) and exits nonzero if the schema check fails.
+//! `--smoke` shrinks every workload to seconds-scale, then self-validates the
+//! emitted JSON (required keys present, finite and nonzero) and exits nonzero
+//! if the schema check fails.
 //!
 //! Schema v4 adds a `metrics` section: after the timed rows, the headline
 //! workload is replayed once with a live [`psb_metrics::Registry`] attached
@@ -84,8 +81,8 @@ use psb_core::kernels::restart::restart_query;
 use psb_core::kernels::stackfree::stackfree_query;
 use psb_core::kernels::{bnb::bnb_query, tpss::tpss_batch};
 use psb_core::{
-    psb_batch, wave_knn_batch, DistLanes, GpuIndex, KernelOptions, Metering, QuerySchedule,
-    WaveConfig,
+    psb_batch, wave_knn_batch, BoundingVolumeIndex, DistLanes, GpuIndex, KernelOptions, Metering,
+    QuerySchedule, WaveConfig,
 };
 use psb_data::{sample_queries, ClusteredSpec, SkewedQuerySpec, UniformSpec};
 use psb_geom::PointSet;
@@ -110,7 +107,6 @@ const RANGE_RADIUS: f32 = 250.0;
 
 struct Config {
     scale: f64,
-    legacy: bool,
     smoke: bool,
     seed: u64,
     out: String,
@@ -119,8 +115,8 @@ struct Config {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench [--scale F] [--seed S] [--legacy-layout] [--smoke] [--out PATH] \
-         [--metrics PATH]\n       bench compare OLD.json NEW.json [--threshold F]"
+        "usage: bench [--scale F] [--seed S] [--smoke] [--out PATH] [--metrics PATH]\n       \
+         bench compare OLD.json NEW.json [--threshold F]"
     );
     std::process::exit(2);
 }
@@ -128,7 +124,6 @@ fn usage() -> ! {
 fn parse_args(args: &[String]) -> Config {
     let mut cfg = Config {
         scale: 1.0,
-        legacy: false,
         smoke: false,
         seed: 0x2016,
         out: "BENCH_psb.json".to_string(),
@@ -145,7 +140,6 @@ fn parse_args(args: &[String]) -> Config {
                 i += 1;
                 cfg.seed = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
             }
-            "--legacy-layout" => cfg.legacy = true,
             "--smoke" => cfg.smoke = true,
             "--out" => {
                 i += 1;
@@ -251,7 +245,7 @@ fn measure(queries: &PointSet, mut run: impl FnMut(&[f32])) -> (f64, f64, f64, f
 
 /// Runs all six kernels against one index pair + raw points; pushes rows.
 #[allow(clippy::too_many_arguments)]
-fn bench_index<T: GpuIndex>(
+fn bench_index<T: BoundingVolumeIndex>(
     rows: &mut Vec<Row>,
     workload: &'static str,
     dims: usize,
@@ -371,17 +365,6 @@ const fn q_marker() -> u64 {
     0x51
 }
 
-/// Queries/sec of PSB on an SS-tree for one layout of the same dataset.
-/// Best-of-3 passes: the speedup ratio is about steady-state layout cost, so
-/// each layout gets its least-noisy pass.
-fn headline_qps(tree: &psb_sstree::SsTree, queries: &PointSet) -> f64 {
-    let dev = DeviceConfig::k40();
-    let opts = KernelOptions::default();
-    (0..3)
-        .map(|_| measure(queries, |q| drop(psb_query(tree, q, K, &dev, &opts))).0)
-        .fold(0.0, f64::max)
-}
-
 /// The throughput section: batch-engine wall clock on the headline workload
 /// (PSB / SS-tree / 16-dim uniform), submission order vs the Hilbert-scheduled
 /// throughput engine, plus the fusion row on a low-fanout (degree-8) tree.
@@ -395,7 +378,7 @@ struct Throughput {
 }
 
 /// Best-of-3 whole-batch queries/sec through the batch engine.
-fn batch_qps<T: GpuIndex>(tree: &T, queries: &PointSet, opts: &KernelOptions) -> f64 {
+fn batch_qps<T: BoundingVolumeIndex>(tree: &T, queries: &PointSet, opts: &KernelOptions) -> f64 {
     let dev = DeviceConfig::k40();
     let mut best = 0.0f64;
     for _ in 0..3 {
@@ -727,7 +710,6 @@ fn json_escape(s: &str) -> String {
 fn emit_json(
     cfg: &Config,
     rows: &[Row],
-    speedup: Option<f64>,
     tp: Option<&Throughput>,
     wave: Option<&Wave>,
     fast_path: Option<&FastPath>,
@@ -740,7 +722,6 @@ fn emit_json(
     let _ = writeln!(s, "{{");
     let _ = writeln!(s, "  \"schema\": \"{}\",", json_escape(SCHEMA));
     let _ = writeln!(s, "  \"scale\": {},", cfg.scale);
-    let _ = writeln!(s, "  \"layout\": \"{}\",", if cfg.legacy { "legacy" } else { "arena" });
     let _ = writeln!(s, "  \"k\": {K},");
     let _ = writeln!(s, "  \"batch_size\": {BATCH},");
     let _ = writeln!(s, "  \"results\": [");
@@ -765,9 +746,6 @@ fn emit_json(
         );
     }
     let _ = write!(s, "  ]");
-    if let Some(sp) = speedup {
-        let _ = write!(s, ",\n  \"speedup_vs_legacy\": {sp:.4}");
-    }
     if let Some(t) = tp {
         let _ = write!(
             s,
@@ -894,11 +872,10 @@ fn emit_json(
 
 /// Minimal schema check for the smoke stage: every required key exists and
 /// every numeric field the harness promises is finite and nonzero.
-fn validate(json: &str, expect_speedup: bool) -> Result<(), String> {
+fn validate(json: &str) -> Result<(), String> {
     for key in [
         "\"schema\"",
         "\"scale\"",
-        "\"layout\"",
         "\"batch_size\"",
         "\"results\"",
         "\"qps\"",
@@ -908,42 +885,33 @@ fn validate(json: &str, expect_speedup: bool) -> Result<(), String> {
         "\"build_ms\"",
         "\"queries\"",
         "\"stackfree\"",
+        "\"throughput\"",
+        "\"scheduled_speedup\"",
+        "\"sharding\"",
+        "\"prune_rate\"",
+        "\"nodes_visited\"",
+        "\"serving\"",
+        "\"outcome_mix\"",
+        "\"clean_frac\"",
+        "\"rejected_frac\"",
+        "\"wave\"",
+        "\"wave_qps\"",
+        "\"vs_scheduled_qps\"",
+        "\"mean_buffer_fill\"",
+        "\"fast_path\"",
+        "\"metered_scalar_qps\"",
+        "\"metering_off_qps\"",
+        "\"combined_speedup\"",
+        "\"memory\"",
+        "\"index_bytes\"",
+        "\"points_bytes\"",
+        "\"metrics\"",
+        "\"counters\"",
+        "\"histograms\"",
+        "\"spans\"",
     ] {
         if !json.contains(key) {
             return Err(format!("missing required key {key}"));
-        }
-    }
-    if expect_speedup {
-        for key in [
-            "\"speedup_vs_legacy\"",
-            "\"throughput\"",
-            "\"scheduled_speedup\"",
-            "\"sharding\"",
-            "\"prune_rate\"",
-            "\"nodes_visited\"",
-            "\"serving\"",
-            "\"outcome_mix\"",
-            "\"clean_frac\"",
-            "\"rejected_frac\"",
-            "\"wave\"",
-            "\"wave_qps\"",
-            "\"vs_scheduled_qps\"",
-            "\"mean_buffer_fill\"",
-            "\"fast_path\"",
-            "\"metered_scalar_qps\"",
-            "\"metering_off_qps\"",
-            "\"combined_speedup\"",
-            "\"memory\"",
-            "\"index_bytes\"",
-            "\"points_bytes\"",
-            "\"metrics\"",
-            "\"counters\"",
-            "\"histograms\"",
-            "\"spans\"",
-        ] {
-            if !json.contains(key) {
-                return Err(format!("missing required key {key}"));
-            }
         }
     }
     // Pull every `"qps": N` style numeric field and require finite, nonzero.
@@ -952,7 +920,6 @@ fn validate(json: &str, expect_speedup: bool) -> Result<(), String> {
         "p50_us",
         "p99_us",
         "p999_us",
-        "speedup_vs_legacy",
         "unscheduled_qps",
         "scheduled_qps",
         "scheduled_speedup",
@@ -991,7 +958,6 @@ fn main() {
     }
     let cfg = parse_args(&args);
     let mut rows: Vec<Row> = Vec::new();
-    let mut headline: Option<(f64, f64)> = None; // (arena_qps, legacy_qps)
     let mut throughput: Option<Throughput> = None;
     let mut wave: Option<Wave> = None;
     let mut fast_path: Option<FastPath> = None;
@@ -1003,15 +969,11 @@ fn main() {
     for w in workloads(&cfg) {
         eprintln!("workload {} dims {} ({} points)...", w.name, w.dims, w.points.len());
         let t = Instant::now();
-        let mut sstree = build(&w.points, 16, &BuildMethod::Hilbert);
+        let sstree = build(&w.points, 16, &BuildMethod::Hilbert);
         let ss_build_ms = t.elapsed().as_secs_f64() * 1e3;
         let t = Instant::now();
-        let mut rtree = build_rtree(&w.points, 16, &RtreeBuildMethod::Hilbert);
+        let rtree = build_rtree(&w.points, 16, &RtreeBuildMethod::Hilbert);
         let rt_build_ms = t.elapsed().as_secs_f64() * 1e3;
-        if cfg.legacy {
-            sstree.strip_arena();
-            rtree.strip_arena();
-        }
         bench_index(
             &mut rows,
             w.name,
@@ -1023,16 +985,14 @@ fn main() {
             ss_build_ms,
         );
         bench_index(&mut rows, w.name, w.dims, "rtree", &rtree, &w.points, &w.queries, rt_build_ms);
-        // The implicit kd-tree has no legacy layout to strip — it *is* the
-        // point array — so its row is identical under --legacy-layout.
         let t = Instant::now();
         let kdtree = LbKdTree::build(&w.points);
         let kd_build_ms = t.elapsed().as_secs_f64() * 1e3;
         bench_kdtree(&mut rows, w.name, w.dims, &kdtree, &w.queries, kd_build_ms);
 
-        // Headline comparison: PSB / SS-tree / 16-dim uniform, arena vs
-        // stripped, on the identical tree and query set.
-        if !cfg.legacy && w.name == "uniform" && w.dims == 16 {
+        // Headline workload (16-dim uniform): the footprint and every
+        // engine-level section.
+        if w.name == "uniform" && w.dims == 16 {
             memory = Some(Memory {
                 points_bytes: w.points.len() as u64 * kdtree.point_entry_bytes(),
                 rows: vec![
@@ -1041,11 +1001,6 @@ fn main() {
                     MemoryRow { index: "kdtree", index_bytes: kdtree.index_bytes() },
                 ],
             });
-            let arena_qps = headline_qps(&sstree, &w.queries);
-            let mut stripped = sstree.clone();
-            stripped.strip_arena();
-            let legacy_qps = headline_qps(&stripped, &w.queries);
-            headline = Some((arena_qps, legacy_qps));
             throughput = Some(throughput_section(&w.points, cfg.seed));
             wave = Some(wave_section(&w.points, cfg.seed));
             fast_path = Some(fast_path_section(&w.points, cfg.seed));
@@ -1055,10 +1010,6 @@ fn main() {
         }
     }
 
-    let speedup = headline.map(|(a, l)| a / l.max(1e-12));
-    if let Some((a, l)) = headline {
-        eprintln!("headline psb/sstree/uniform-16d: arena {a:.1} qps vs legacy {l:.1} qps");
-    }
     if let Some(t) = &throughput {
         eprintln!(
             "throughput psb/sstree/uniform-16d ({} queries/batch): unscheduled {:.1} qps, \
@@ -1132,7 +1083,6 @@ fn main() {
     let json = emit_json(
         &cfg,
         &rows,
-        speedup,
         throughput.as_ref(),
         wave.as_ref(),
         fast_path.as_ref(),
@@ -1148,7 +1098,7 @@ fn main() {
     eprintln!("wrote {}", cfg.out);
 
     if cfg.smoke {
-        match validate(&json, !cfg.legacy) {
+        match validate(&json) {
             Ok(()) => eprintln!("smoke: schema OK ({} result rows)", rows.len()),
             Err(e) => {
                 eprintln!("smoke: schema check FAILED: {e}");

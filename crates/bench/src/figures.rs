@@ -6,7 +6,7 @@
 //! wall-clock time and page-based bytes, exactly like the paper's mixed
 //! CPU/GPU comparison.
 
-use psb_core::{EngineError, GpuIndex, KernelOptions, QueryBatchResult};
+use psb_core::{BoundingVolumeIndex, EngineError, KernelOptions, QueryBatchResult};
 use psb_data::{sample_queries, ClusteredSpec, NoaaSpec};
 use psb_geom::PointSet;
 use psb_gpu::{launch_blocks, DeviceConfig, KernelStats};
@@ -31,7 +31,7 @@ fn expect_batch(r: Result<QueryBatchResult, EngineError>) -> QueryBatchResult {
     r.expect("figure workloads always submit a non-empty query batch")
 }
 
-fn psb_batch<T: GpuIndex>(
+fn psb_batch<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     k: usize,
@@ -41,7 +41,7 @@ fn psb_batch<T: GpuIndex>(
     expect_batch(psb_core::psb_batch(tree, queries, k, cfg, opts))
 }
 
-fn bnb_batch<T: GpuIndex>(
+fn bnb_batch<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     k: usize,
@@ -51,7 +51,7 @@ fn bnb_batch<T: GpuIndex>(
     expect_batch(psb_core::bnb_batch(tree, queries, k, cfg, opts))
 }
 
-fn restart_batch<T: GpuIndex>(
+fn restart_batch<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     k: usize,

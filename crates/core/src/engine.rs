@@ -19,7 +19,7 @@ use psb_gpu::{
 use psb_sstree::Neighbor;
 
 use crate::error::{EngineError, KernelError, QueryOutcome};
-use crate::index::{GpuIndex, ImplicitKdIndex};
+use crate::index::{BoundingVolumeIndex, ImplicitKdIndex};
 use rayon::prelude::*;
 
 use crate::kernels::tpss::tpss_batch;
@@ -306,7 +306,7 @@ fn run_batch_recovering(
 /// With [`KernelOptions::wave`] set, the batch instead runs through the
 /// buffer-wave node-centric engine (`wave.rs`): neighbors and outcomes are
 /// bit-identical, counters reflect the amortized coalesced-sweep schedule.
-pub fn psb_batch<T: GpuIndex>(
+pub fn psb_batch<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     k: usize,
@@ -325,7 +325,7 @@ pub fn psb_batch<T: GpuIndex>(
 /// [`psb_batch`] with every metering call mirrored into `sink`; runs
 /// sequentially so the event stream is in query order. Results and counters
 /// are bit-identical to [`psb_batch`].
-pub fn psb_batch_traced<T: GpuIndex>(
+pub fn psb_batch_traced<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     k: usize,
@@ -341,7 +341,7 @@ pub fn psb_batch_traced<T: GpuIndex>(
 /// [`psb_batch`] under a fault plan, with the retry/degrade recovery ladder.
 /// Results are exact under any plan; with [`FaultPlan::none`] this is
 /// bit-identical to [`psb_batch`] (results, counters, and report).
-pub fn psb_batch_recovering<T: GpuIndex>(
+pub fn psb_batch_recovering<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     k: usize,
@@ -377,7 +377,7 @@ pub fn psb_batch_recovering<T: GpuIndex>(
 }
 
 /// Branch-and-bound over a batch of queries.
-pub fn bnb_batch<T: GpuIndex>(
+pub fn bnb_batch<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     k: usize,
@@ -393,7 +393,7 @@ pub fn bnb_batch<T: GpuIndex>(
 /// [`bnb_batch`] with every metering call mirrored into `sink`; runs
 /// sequentially so the event stream is in query order. Results and counters
 /// are bit-identical to [`bnb_batch`].
-pub fn bnb_batch_traced<T: GpuIndex>(
+pub fn bnb_batch_traced<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     k: usize,
@@ -407,7 +407,7 @@ pub fn bnb_batch_traced<T: GpuIndex>(
 }
 
 /// [`bnb_batch`] under a fault plan, with the retry/degrade recovery ladder.
-pub fn bnb_batch_recovering<T: GpuIndex>(
+pub fn bnb_batch_recovering<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     k: usize,
@@ -430,7 +430,7 @@ pub fn bnb_batch_recovering<T: GpuIndex>(
 }
 
 /// Fixed-radius range queries over a batch (PSB-style sweep, fixed bound).
-pub fn range_batch<T: GpuIndex>(
+pub fn range_batch<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     radius: f32,
@@ -446,7 +446,7 @@ pub fn range_batch<T: GpuIndex>(
 /// [`range_batch`] under a fault plan, with the retry/degrade recovery ladder.
 /// The degraded rung is an exact brute-force range scan over the flat point
 /// array.
-pub fn range_batch_recovering<T: GpuIndex>(
+pub fn range_batch_recovering<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     radius: f32,
@@ -469,7 +469,7 @@ pub fn range_batch_recovering<T: GpuIndex>(
 }
 
 /// Scan-and-restart (no parent links) over a batch of queries.
-pub fn restart_batch<T: GpuIndex>(
+pub fn restart_batch<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     k: usize,
@@ -484,7 +484,7 @@ pub fn restart_batch<T: GpuIndex>(
 
 /// [`restart_batch`] under a fault plan, with the retry/degrade recovery
 /// ladder.
-pub fn restart_batch_recovering<T: GpuIndex>(
+pub fn restart_batch_recovering<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     k: usize,
@@ -558,7 +558,7 @@ pub fn stackfree_batch_recovering<T: ImplicitKdIndex>(
 /// lockstep simulation legitimately differ when lane groupings change).
 /// Results are exact and identical either way; this wrapper guarantees
 /// neighbors-parity only, by design (DESIGN.md §12).
-pub fn tpss_batch_scheduled<T: GpuIndex>(
+pub fn tpss_batch_scheduled<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     k: usize,
@@ -651,7 +651,7 @@ mod tests {
         let (_, tree, _) = setup();
         let cfg = DeviceConfig::k40();
         let opts = KernelOptions::default();
-        let empty = PointSet::new(tree.dims());
+        let empty = PointSet::new(tree.dims);
         assert!(matches!(psb_batch(&tree, &empty, 4, &cfg, &opts), Err(EngineError::EmptyBatch)));
         assert!(matches!(
             psb_batch_recovering(&tree, &empty, 4, &cfg, &opts, &FaultPlan::none()),

@@ -52,6 +52,17 @@ pub enum KernelError {
     },
 }
 
+impl KernelError {
+    /// A node whose live first-child/count fields no longer match its block
+    /// in the index's packed arena: the node arrays were mutated after the
+    /// arena was packed, or it never was. The arena is the only
+    /// representation a kernel reads, so there is nothing else to fall back
+    /// on.
+    pub fn stale_arena(node: u32) -> Self {
+        KernelError::CorruptNode { node, detail: "packed arena block does not match the node" }
+    }
+}
+
 impl fmt::Display for KernelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -1,24 +1,40 @@
-//! The index abstraction the GPU kernels traverse.
+//! The index abstractions the GPU kernels traverse.
 //!
 //! The paper's title promise is *parallel tree traversal for n-ary
 //! multi-dimensional trees* — the traversal (PSB, branch-and-bound, restart,
-//! range) is independent of the node *shape*. [`GpuIndex`] captures exactly
-//! what a traversal needs: the flattened structure (contiguous children, dense
-//! left-to-right leaf ids, parent links, subtree leaf ranges) plus a bounding-
-//! volume evaluation with its instruction cost.
+//! range) is independent of the node *shape*. Three traits split what each
+//! consumer actually reads, so routing a kernel to an index family that
+//! cannot serve it is a compile error rather than a runtime panic:
 //!
-//! Two implementations exist: the SS-tree (bounding spheres — one distance
-//! plus a radius add/subtract yields MINDIST *and* MAXDIST) and the packed
-//! R-tree in `psb-rtree` (bounding rectangles — per-facet work, and a separate
-//! farthest-corner pass for MAXDIST). Running the identical kernel over both
-//! turns the paper's §II-C computational-cost argument into a measurement.
+//! * [`GpuIndex`] — the common surface: dimensionality, the reordered point
+//!   array with its original ids, node/point counts and byte sizes. The batch
+//!   engine, the recovery ladder's exact brute-force rung
+//!   ([`brute_index_query`](crate::brute_index_query)) and the memory
+//!   reports need nothing more.
+//! * [`BoundingVolumeIndex`] — the flattened bounding-volume hierarchy
+//!   (contiguous children, dense left-to-right leaf ids, parent links, rope
+//!   links, subtree leaf ranges) plus the per-node volume evaluation with its
+//!   instruction cost. PSB, branch-and-bound, restart, range, TPSS, the wave
+//!   engine, [`QueryStream`](crate::QueryStream) and the serving routers
+//!   require it. Two implementations exist: the SS-tree (bounding spheres —
+//!   one distance plus a radius add/subtract yields MINDIST *and* MAXDIST)
+//!   and the packed R-tree in `psb-rtree` (bounding rectangles — per-facet
+//!   work, and a separate farthest-corner pass for MAXDIST). Running the
+//!   identical kernel over both turns the paper's §II-C computational-cost
+//!   argument into a measurement.
+//! * [`ImplicitKdIndex`] — the implicit left-balanced kd-tree read by the
+//!   stack-free kernel: heap-order points and a splitting dimension per node,
+//!   nothing else.
 
 use psb_geom::DistKernel;
 use psb_sstree::SsTree;
 
-/// Sentinel rope link: "no next subtree" — returned by [`GpuIndex::rope`] for
-/// the root and every node on the rightmost root-to-leaf spine. Matches the
-/// tree crates' own `NO_ROPE` constants bit-for-bit.
+use crate::error::KernelError;
+
+/// Sentinel rope link: "no next subtree" — returned by
+/// [`BoundingVolumeIndex::rope`] for the root and every node on the rightmost
+/// root-to-leaf spine. Matches the tree crates' own `NO_ROPE` constants
+/// bit-for-bit.
 pub const NO_ROPE: u32 = u32::MAX;
 
 /// Reusable output buffers for a per-node child sweep. Pooled in the engine's
@@ -50,54 +66,83 @@ impl SweepScratch {
     }
 }
 
-/// The legacy gather path for [`GpuIndex::child_sweep`]: per-child scattered
-/// loads through the node-major accessors. Default implementation and the
-/// fallback when a packed arena is stale or absent.
-pub fn gather_child_sweep<T: GpuIndex + ?Sized>(
-    tree: &T,
-    n: u32,
-    q: &[f32],
-    with_max: bool,
-    with_anchor: bool,
-    out: &mut SweepScratch,
-) {
-    for c in tree.children(n) {
-        let (lo, hi) = tree.child_min_max(c, q, with_max);
-        out.min_d.push(lo);
-        if with_max {
-            out.max_d.push(hi);
-        }
-    }
-    if with_anchor {
-        for c in tree.children(n) {
-            out.anchor_d.push(tree.child_anchor_dist(c, q));
-        }
-    }
+/// The surface every index family shares: the reordered point array with its
+/// original ids, the node and point counts, and the byte sizes the memory
+/// reports and the point-fetch metering read. The batch engine's plumbing and
+/// the recovery ladder's brute-force rung need nothing more; the traversal
+/// kernels require one of the two family traits built on top of it.
+pub trait GpuIndex: Sync {
+    /// Dimensionality of the indexed space.
+    fn dims(&self) -> usize;
+    /// Total number of nodes (exclusive bound on valid node ids). The
+    /// hardened kernels bounds-check every followed link against this and
+    /// derive their traversal step budget from it.
+    fn num_nodes(&self) -> usize;
+    /// Total number of indexed point positions (exclusive bound on valid
+    /// positions). Also the domain of the exact brute-force fallback scan.
+    fn num_points(&self) -> usize;
+    /// Coordinates at point position `pos`.
+    fn point(&self, pos: usize) -> &[f32];
+    /// Original dataset id at point position `pos`.
+    fn point_id(&self, pos: usize) -> u32;
+    /// Total modeled device-resident footprint of the index in bytes: every
+    /// node's fetched representation (for the bounding-volume families the
+    /// packed arena *and* the reordered points it holds). This is the
+    /// paper's index-memory comparison number, reported by `inspect` and the
+    /// bench harness's `memory` section.
+    fn index_bytes(&self) -> u64;
+    /// Bytes per point entry (coordinates plus id).
+    fn point_entry_bytes(&self) -> u64;
 }
 
-/// The legacy gather path for [`GpuIndex::leaf_sweep`]: per-point scattered
-/// loads through the point accessors.
-pub fn gather_leaf_sweep<T: GpuIndex + ?Sized>(
-    tree: &T,
-    n: u32,
-    q: &[f32],
-    out: &mut Vec<(f32, u32)>,
-) {
-    for p in tree.leaf_points(n) {
-        out.push((psb_geom::dist(q, tree.point(p)), tree.point_id(p)));
-    }
-}
-
-/// A flattened n-ary spatial index traversable by the data-parallel kernels.
+/// A flattened n-ary bounding-volume hierarchy traversable by the
+/// data-parallel kernels (PSB, branch-and-bound, restart, range, TPSS and
+/// the buffer-wave engine).
 ///
 /// Structural contract (checked by each implementation's `validate`):
 /// children of a node are contiguous node ids; leaves are numbered densely
 /// left-to-right and own contiguous runs of the reordered point array; every
 /// node knows the max leaf id under it; `leaf_node_of(l + 1)` is the right
 /// sibling of leaf `l`.
-pub trait GpuIndex: Sync {
-    /// Dimensionality of the indexed space.
-    fn dims(&self) -> usize;
+///
+/// Node geometry is read through [`child_sweep`](Self::child_sweep) and
+/// [`leaf_sweep`](Self::leaf_sweep), which stream the index's packed per-node
+/// arena — the one representation of a node a kernel sees. A node whose live
+/// fields no longer match its arena block is a [`KernelError`], never a
+/// silent second read path.
+///
+/// The implicit kd-tree family does not implement this trait, so routing a
+/// bounding-volume kernel to it does not compile:
+///
+/// ```compile_fail,E0277
+/// use psb_core::kernels::psb::psb_query;
+/// use psb_core::KernelOptions;
+/// use psb_gpu::DeviceConfig;
+/// use psb_kdtree::LbKdTree;
+///
+/// let points = psb_data::UniformSpec { len: 64, dims: 3, seed: 1 }.generate();
+/// let tree = LbKdTree::build(&points);
+/// let opts = KernelOptions::default();
+/// // error[E0277]: the trait bound `LbKdTree: BoundingVolumeIndex` is not satisfied
+/// psb_query(&tree, points.point(0), 4, &DeviceConfig::k40(), &opts);
+/// ```
+///
+/// The same setup with the stack-free kernel, which the family does serve,
+/// compiles and runs:
+///
+/// ```
+/// use psb_core::kernels::stackfree::stackfree_query;
+/// use psb_core::KernelOptions;
+/// use psb_gpu::DeviceConfig;
+/// use psb_kdtree::LbKdTree;
+///
+/// let points = psb_data::UniformSpec { len: 64, dims: 3, seed: 1 }.generate();
+/// let tree = LbKdTree::build(&points);
+/// let opts = KernelOptions::default();
+/// let (nb, _) = stackfree_query(&tree, points.point(0), 4, &DeviceConfig::k40(), &opts);
+/// assert_eq!(nb[0].dist, 0.0);
+/// ```
+pub trait BoundingVolumeIndex: GpuIndex {
     /// Maximum children per node (= leaf capacity).
     fn degree(&self) -> usize;
     /// Root node id.
@@ -110,23 +155,12 @@ pub trait GpuIndex: Sync {
     fn parent(&self, n: u32) -> u32;
     /// Point positions of leaf `n`.
     fn leaf_points(&self, n: u32) -> std::ops::Range<usize>;
-    /// Coordinates at point position `pos`.
-    fn point(&self, pos: usize) -> &[f32];
-    /// Original dataset id at point position `pos`.
-    fn point_id(&self, pos: usize) -> u32;
     /// Dense left-to-right leaf number of leaf `n`.
     fn leaf_id(&self, n: u32) -> u32;
     /// Node id of leaf number `l`.
     fn leaf_node_of(&self, l: u32) -> u32;
     /// Number of leaves.
     fn num_leaves(&self) -> usize;
-    /// Total number of nodes (exclusive bound on valid node ids). The
-    /// hardened kernels bounds-check every followed link against this and
-    /// derive their traversal step budget from it.
-    fn num_nodes(&self) -> usize;
-    /// Total number of indexed point positions (exclusive bound on valid
-    /// positions). Also the domain of the exact brute-force fallback scan.
-    fn num_points(&self) -> usize;
     /// Largest leaf id under `n`'s subtree.
     fn subtree_max_leaf(&self, n: u32) -> u32;
     /// Rope (escape) link of node `n`: the next node in depth-first preorder
@@ -135,104 +169,129 @@ pub trait GpuIndex: Sync {
     /// the root and the rightmost spine. Stack-free traversals
     /// ([`KernelOptions::rope`](crate::KernelOptions)) follow it instead of
     /// backtracking through parent links or re-descending from the root.
-    fn rope(&self, n: u32) -> u32;
+    /// `None` when the index carries no link for `n` (a missing or short
+    /// rope array); the kernels turn that into a [`KernelError`].
+    fn rope(&self, n: u32) -> Option<u32>;
     /// Depth of node `n` below the root (root = 0). Feeds the per-level visit
     /// histogram when a stack-free traversal arrives at a node without having
     /// tracked a descent counter.
     fn node_depth(&self, n: u32) -> u32;
-    /// Total modeled device-resident footprint of the index in bytes: every
-    /// node's fetched representation (internal child-volume blocks plus leaf
-    /// point blocks — the arena *and* the reordered points it packs). This is
-    /// the paper's index-memory comparison number, reported by `inspect` and
-    /// the bench harness's `memory` section.
-    fn index_bytes(&self) -> u64;
     /// Bytes fetched for internal node `n` (its child bounding volumes, SoA).
     fn internal_node_bytes(&self, n: u32) -> u64;
     /// Bytes fetched for leaf node `n` (its points, SoA).
     fn leaf_node_bytes(&self, n: u32) -> u64;
     /// Bytes per child entry (for the AoS strided-layout ablation).
     fn child_entry_bytes(&self) -> u64;
-    /// Bytes per point entry (for the AoS strided-layout ablation).
-    fn point_entry_bytes(&self) -> u64;
 
-    /// MINDIST (and MAXDIST when `with_max`) from `q` to child `c`'s bounding
-    /// volume. When `with_max` is false the second component is unspecified.
-    fn child_min_max(&self, c: u32, q: &[f32], with_max: bool) -> (f32, f32);
+    /// MINDIST (and MAXDIST when `with_max`) from `q` to non-root node `c`'s
+    /// bounding volume, read from `c`'s slot in its parent's packed arena
+    /// block. When `with_max` is false the second component is unspecified.
+    /// The single-node evaluation of the rope traversals and TPSS lanes;
+    /// bit-identical to the corresponding [`child_sweep`](Self::child_sweep)
+    /// entry, and fails like it when that block is stale (or `c` is the
+    /// root, which has no parent block).
+    fn child_min_max(&self, c: u32, q: &[f32], with_max: bool) -> Result<(f32, f32), KernelError>;
 
     /// Instruction cost of one `child_min_max` evaluation under the cost
     /// model. This is where sphere and rectangle indexes differ (§II-C).
     fn child_eval_cost(&self, with_max: bool) -> u64;
 
-    /// Distance from `q` to child `c`'s representative point (sphere center /
-    /// rectangle center). Used as the tie-break when several overlapping
-    /// volumes report `MINDIST = 0` during the initial greedy descent.
-    fn child_anchor_dist(&self, c: u32, q: &[f32]) -> f32;
-
-    /// Evaluate every child of internal node `n` against `q` in one pass:
-    /// MINDIST always, MAXDIST when `with_max`, anchor distance when
-    /// `with_anchor`, appended to `out` in child order.
-    ///
-    /// The default gathers through the scattered per-child accessors exactly
-    /// like the historical kernel loop; packed-arena implementations override
-    /// it to stream one contiguous SoA block. Overrides must be **bit-identical**
-    /// to the default — the sweep is a host-speed change only, pinned down by
-    /// the layout-parity suite.
+    /// Evaluate every child of internal node `n` against `q` in one pass over
+    /// the node's packed SoA block: MINDIST always, MAXDIST when `with_max`,
+    /// and the distance to each child's representative point (sphere center
+    /// / rectangle center — the descent's tie-break when several overlapping
+    /// volumes report `MINDIST = 0`) when `with_anchor`, appended to `out` in
+    /// child order. Fails with [`KernelError::stale_arena`] when the packed
+    /// block does not match the node's live child range.
     fn child_sweep(
         &self,
         n: u32,
         q: &[f32],
-        _dk: &DistKernel,
+        dk: &DistKernel,
         with_max: bool,
         with_anchor: bool,
         out: &mut SweepScratch,
-    ) {
-        gather_child_sweep(self, n, q, with_max, with_anchor, out);
-    }
+    ) -> Result<(), KernelError>;
 
     /// Evaluate every point of leaf node `n` against `q`, appending
-    /// `(distance, original id)` pairs to `out` in point order. Same
-    /// bit-identity contract as [`GpuIndex::child_sweep`]. `tmp` is pooled
-    /// staging for the batched row kernels (arena implementations run
-    /// [`DistKernel::dist_rows`] into it, then zip with the packed ids); the
-    /// gather default ignores it.
+    /// `(distance, original id)` pairs to `out` in point order. `tmp` is
+    /// pooled staging for the batched row kernel ([`DistKernel::dist_rows`]
+    /// runs into it, then zips with the packed ids). Same staleness contract
+    /// as [`child_sweep`](Self::child_sweep).
     fn leaf_sweep(
         &self,
         n: u32,
         q: &[f32],
-        _dk: &DistKernel,
-        _tmp: &mut Vec<f32>,
+        dk: &DistKernel,
+        tmp: &mut Vec<f32>,
         out: &mut Vec<(f32, u32)>,
-    ) {
-        gather_leaf_sweep(self, n, q, out);
-    }
+    ) -> Result<(), KernelError>;
 }
 
 /// An implicit left-balanced kd-tree traversable by the stack-free kernel
 /// (Wald's arithmetic parent-link traversal — see `kernels::stackfree`).
 ///
 /// The index *is* the reordered points array: every node holds exactly one
-/// point, children live at `2n + 1` / `2n + 2`, and the splitting plane is the
-/// node's own coordinate in the round-robin dimension — no bounding volumes,
-/// no child pointers, no per-node metadata. The [`GpuIndex`] supertrait keeps
-/// the family on the engine plumbing (recovery fallback, scheduling,
-/// `index_bytes`, inspection); the bounding-volume kernels themselves are
-/// **not** routed to it (`child_min_max` has nothing to evaluate — a
-/// documented opt-out).
+/// point in heap order, children live at `2n + 1` / `2n + 2`, and the
+/// splitting plane is the node's own coordinate in [`split_dim`]. There are
+/// no bounding volumes, no child pointers and no per-node metadata, so the
+/// node arithmetic below is provided and an implementation supplies only the
+/// splitting rule.
+///
+/// [`split_dim`]: Self::split_dim
 pub trait ImplicitKdIndex: GpuIndex {
-    /// Point position held by node `n`. The left-balanced layout stores one
-    /// point per node in heap order, so the default is the identity.
-    fn node_point(&self, n: u32) -> usize {
-        n as usize
-    }
     /// Splitting dimension of node `n` (round-robin by depth in Wald's
     /// construction).
     fn split_dim(&self, n: u32) -> usize;
+    /// Point position held by node `n`: the identity in heap order.
+    fn node_point(&self, n: u32) -> usize {
+        n as usize
+    }
+    /// Parent of node `n`, or `u32::MAX` for the root.
+    fn parent(&self, n: u32) -> u32 {
+        if n == 0 {
+            u32::MAX
+        } else {
+            (n - 1) >> 1
+        }
+    }
+    /// Whether node `n` has no children inside the node array.
+    fn is_leaf(&self, n: u32) -> bool {
+        2 * n as usize + 1 >= self.num_nodes()
+    }
+    /// Depth of node `n` below the root (root = 0): `floor(log2(n + 1))`.
+    fn node_depth(&self, n: u32) -> u32 {
+        31 - (n + 1).leading_zeros()
+    }
 }
 
 impl GpuIndex for SsTree {
     fn dims(&self) -> usize {
         self.dims
     }
+    fn num_nodes(&self) -> usize {
+        SsTree::num_nodes(self)
+    }
+    fn num_points(&self) -> usize {
+        self.points.len()
+    }
+    fn point(&self, pos: usize) -> &[f32] {
+        self.points.point(pos)
+    }
+    fn point_id(&self, pos: usize) -> u32 {
+        self.point_ids[pos]
+    }
+    fn index_bytes(&self) -> u64 {
+        // Node bytes already include the leaf point blocks: internal nodes
+        // carry the child-sphere SoA, leaves carry their packed points + ids.
+        self.total_bytes()
+    }
+    fn point_entry_bytes(&self) -> u64 {
+        self.dims as u64 * 4 + 4
+    }
+}
+
+impl BoundingVolumeIndex for SsTree {
     fn degree(&self) -> usize {
         self.degree
     }
@@ -251,12 +310,6 @@ impl GpuIndex for SsTree {
     fn leaf_points(&self, n: u32) -> std::ops::Range<usize> {
         SsTree::leaf_points(self, n)
     }
-    fn point(&self, pos: usize) -> &[f32] {
-        self.points.point(pos)
-    }
-    fn point_id(&self, pos: usize) -> u32 {
-        self.point_ids[pos]
-    }
     fn leaf_id(&self, n: u32) -> u32 {
         self.leaf_id[n as usize]
     }
@@ -266,29 +319,14 @@ impl GpuIndex for SsTree {
     fn num_leaves(&self) -> usize {
         SsTree::num_leaves(self)
     }
-    fn num_nodes(&self) -> usize {
-        SsTree::num_nodes(self)
-    }
-    fn num_points(&self) -> usize {
-        self.points.len()
-    }
     fn subtree_max_leaf(&self, n: u32) -> u32 {
         self.subtree_max_leaf[n as usize]
     }
-    fn rope(&self, n: u32) -> u32 {
-        // Every construction/load path derives ropes in `rebuild_arena`; an
-        // empty array means a hand-assembled tree that skipped it — an API
-        // misuse, not device corruption, so it asserts rather than erroring.
-        assert!(!self.rope.is_empty(), "rope links missing: call rebuild_arena() first");
-        self.rope[n as usize]
+    fn rope(&self, n: u32) -> Option<u32> {
+        self.rope.get(n as usize).copied()
     }
     fn node_depth(&self, n: u32) -> u32 {
         (self.level[self.root as usize] - self.level[n as usize]) as u32
-    }
-    fn index_bytes(&self) -> u64 {
-        // Node bytes already include the leaf point blocks: internal nodes
-        // carry the child-sphere SoA, leaves carry their packed points + ids.
-        self.total_bytes()
     }
     fn internal_node_bytes(&self, n: u32) -> u64 {
         SsTree::internal_node_bytes(self, n)
@@ -299,24 +337,23 @@ impl GpuIndex for SsTree {
     fn child_entry_bytes(&self) -> u64 {
         self.dims as u64 * 4 + 4 + 12
     }
-    fn point_entry_bytes(&self) -> u64 {
-        self.dims as u64 * 4 + 4
-    }
 
-    fn child_min_max(&self, c: u32, q: &[f32], _with_max: bool) -> (f32, f32) {
+    fn child_min_max(&self, c: u32, q: &[f32], _with_max: bool) -> Result<(f32, f32), KernelError> {
+        let stale = || KernelError::stale_arena(c);
+        let p = *self.parent.get(c as usize).ok_or_else(stale)?;
+        let first = *self.first_child.get(p as usize).ok_or_else(stale)?;
+        let cnt = *self.child_count.get(p as usize).ok_or_else(stale)?;
+        let blk = self.arena.internal(p, first, cnt as usize).ok_or_else(stale)?;
+        let i = c.wrapping_sub(first) as usize;
+        let r = *blk.radii.get(i).ok_or_else(stale)?;
         // One center distance yields both bounds — the sphere advantage.
-        let center_d = psb_geom::dist(q, self.center(c));
-        let r = self.radius(c);
-        ((center_d - r).max(0.0), center_d + r)
+        let center_d = psb_geom::dist(q, &blk.centers[i * self.dims..(i + 1) * self.dims]);
+        Ok(((center_d - r).max(0.0), center_d + r))
     }
 
     fn child_eval_cost(&self, _with_max: bool) -> u64 {
         // Distance + radius add/subtract; MAXDIST is free (same distance).
         crate::dist_cost(self.dims) + 2
-    }
-
-    fn child_anchor_dist(&self, c: u32, q: &[f32]) -> f32 {
-        psb_geom::dist(q, self.center(c))
     }
 
     fn child_sweep(
@@ -327,19 +364,15 @@ impl GpuIndex for SsTree {
         with_max: bool,
         with_anchor: bool,
         out: &mut SweepScratch,
-    ) {
+    ) -> Result<(), KernelError> {
         let kids = SsTree::children(self, n);
-        let blk = self.arena.as_ref().and_then(|a| a.internal(n, kids.start, kids.len()));
-        let Some(blk) = blk else {
-            // Stale/absent arena (stripped for benchmarking, or the tree was
-            // mutated underneath it): the bounds-checked gather path.
-            gather_child_sweep(self, n, q, with_max, with_anchor, out);
-            return;
-        };
+        let blk = self
+            .arena
+            .internal(n, kids.start, kids.len())
+            .ok_or_else(|| KernelError::stale_arena(n))?;
         // One batched row sweep over the packed center block (center distance
         // once per child), then both bounds and the anchor derived from it —
-        // bit-identical to the gather path (same kernel, same data, same op
-        // order per value; the row form only changes where the loop lives).
+        // the same values `child_min_max` computes per child.
         out.tmp.clear();
         dk.dist_rows(q, blk.centers, &mut out.tmp);
         for (&cd, &r) in out.tmp.iter().zip(blk.radii) {
@@ -351,6 +384,7 @@ impl GpuIndex for SsTree {
                 out.anchor_d.push(cd);
             }
         }
+        Ok(())
     }
 
     fn leaf_sweep(
@@ -360,18 +394,18 @@ impl GpuIndex for SsTree {
         dk: &DistKernel,
         tmp: &mut Vec<f32>,
         out: &mut Vec<(f32, u32)>,
-    ) {
+    ) -> Result<(), KernelError> {
         let run = SsTree::leaf_points(self, n);
-        let blk = self.arena.as_ref().and_then(|a| a.leaf(n, run.start as u32, run.len()));
-        let Some(blk) = blk else {
-            gather_leaf_sweep(self, n, q, out);
-            return;
-        };
+        let blk = self
+            .arena
+            .leaf(n, run.start as u32, run.len())
+            .ok_or_else(|| KernelError::stale_arena(n))?;
         tmp.clear();
         dk.dist_rows(q, blk.coords, tmp);
         for (i, &d) in tmp.iter().enumerate() {
             out.push((d, blk.id(i)));
         }
+        Ok(())
     }
 }
 
@@ -389,19 +423,19 @@ mod tests {
         let tree = build(&ps, 16, &BuildMethod::Hilbert);
         let t: &dyn Fn(&SsTree) = &|tree| {
             assert_eq!(GpuIndex::dims(tree), 3);
-            assert_eq!(GpuIndex::degree(tree), 16);
-            let root = GpuIndex::root(tree);
-            assert!(!GpuIndex::is_leaf(tree, root));
-            let kids = GpuIndex::children(tree, root);
+            assert_eq!(BoundingVolumeIndex::degree(tree), 16);
+            let root = BoundingVolumeIndex::root(tree);
+            assert!(!BoundingVolumeIndex::is_leaf(tree, root));
+            let kids = BoundingVolumeIndex::children(tree, root);
             assert!(!kids.is_empty());
             for c in kids {
-                assert_eq!(GpuIndex::parent(tree, c), root);
+                assert_eq!(BoundingVolumeIndex::parent(tree, c), root);
             }
             // Leaf chain is dense and consistent.
-            for l in 0..GpuIndex::num_leaves(tree) as u32 {
-                let n = GpuIndex::leaf_node_of(tree, l);
-                assert_eq!(GpuIndex::leaf_id(tree, n), l);
-                assert_eq!(GpuIndex::subtree_max_leaf(tree, n), l);
+            for l in 0..BoundingVolumeIndex::num_leaves(tree) as u32 {
+                let n = BoundingVolumeIndex::leaf_node_of(tree, l);
+                assert_eq!(BoundingVolumeIndex::leaf_id(tree, n), l);
+                assert_eq!(BoundingVolumeIndex::subtree_max_leaf(tree, n), l);
             }
         };
         t(&tree);
@@ -413,12 +447,20 @@ mod tests {
             ClusteredSpec { clusters: 2, points_per_cluster: 100, dims: 2, sigma: 20.0, seed: 72 }
                 .generate();
         let tree = build(&ps, 8, &BuildMethod::Hilbert);
-        let c = GpuIndex::children(&tree, tree.root).start;
+        let c = BoundingVolumeIndex::children(&tree, tree.root).start;
         let q = vec![0.0f32, 0.0];
-        let (lo, hi) = GpuIndex::child_min_max(&tree, c, &q, true);
+        let (lo, hi) = BoundingVolumeIndex::child_min_max(&tree, c, &q, true).expect("fresh");
         assert!(lo <= hi);
         assert_eq!(lo, tree.sphere(c).min_dist(&q));
         assert_eq!(hi, tree.sphere(c).max_dist(&q));
+        // The volume is read from the parent's packed block: the root has
+        // none, and a parent whose live range no longer matches it is stale.
+        let root_eval = BoundingVolumeIndex::child_min_max(&tree, tree.root, &q, true);
+        assert!(matches!(root_eval, Err(KernelError::CorruptNode { .. })));
+        let mut stale = tree.clone();
+        stale.child_count[tree.root as usize] -= 1;
+        let stale_eval = BoundingVolumeIndex::child_min_max(&stale, c, &q, true);
+        assert_eq!(stale_eval, Err(KernelError::stale_arena(c)));
     }
 
     #[test]
@@ -427,6 +469,9 @@ mod tests {
             ClusteredSpec { clusters: 2, points_per_cluster: 50, dims: 8, sigma: 20.0, seed: 73 }
                 .generate();
         let tree = build(&ps, 8, &BuildMethod::Hilbert);
-        assert_eq!(GpuIndex::child_eval_cost(&tree, false), GpuIndex::child_eval_cost(&tree, true));
+        assert_eq!(
+            BoundingVolumeIndex::child_eval_cost(&tree, false),
+            BoundingVolumeIndex::child_eval_cost(&tree, true)
+        );
     }
 }

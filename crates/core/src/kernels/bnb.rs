@@ -13,7 +13,7 @@ use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NoopSink, Phase, Tra
 use psb_sstree::Neighbor;
 
 use crate::error::KernelError;
-use crate::index::GpuIndex;
+use crate::index::BoundingVolumeIndex;
 
 use super::{
     checked_children, checked_root, child_distances, effective_metering, fetch_internal,
@@ -27,7 +27,7 @@ use crate::options::{KernelOptions, Metering};
 /// Trusted-tree entry point: panics on a [`KernelError`], which a validated
 /// tree and a fault-free device can never produce. Use [`bnb_try_query`] to
 /// handle corruption or injected faults.
-pub fn bnb_query<T: GpuIndex>(
+pub fn bnb_query<T: BoundingVolumeIndex>(
     tree: &T,
     q: &[f32],
     k: usize,
@@ -39,7 +39,7 @@ pub fn bnb_query<T: GpuIndex>(
 
 /// [`bnb_query`] with every metering call mirrored into `sink`; results and
 /// counters are bit-identical to the untraced run.
-pub fn bnb_query_traced<T: GpuIndex>(
+pub fn bnb_query_traced<T: BoundingVolumeIndex>(
     tree: &T,
     q: &[f32],
     k: usize,
@@ -55,7 +55,7 @@ pub fn bnb_query_traced<T: GpuIndex>(
 /// hangs under corruption or injected device faults. Bit-identical to the
 /// original with `faults: None` on a valid tree.
 #[allow(clippy::too_many_arguments)]
-pub fn bnb_try_query<T: GpuIndex>(
+pub fn bnb_try_query<T: BoundingVolumeIndex>(
     tree: &T,
     q: &[f32],
     k: usize,
@@ -79,7 +79,7 @@ pub fn bnb_try_query<T: GpuIndex>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn bnb_try_query_with<T: GpuIndex, const M: bool>(
+fn bnb_try_query_with<T: BoundingVolumeIndex, const M: bool>(
     tree: &T,
     q: &[f32],
     k: usize,
@@ -91,7 +91,7 @@ fn bnb_try_query_with<T: GpuIndex, const M: bool>(
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
     let mut block = super::kernel_block::<M>(opts, cfg, sink);
     block.set_faults(faults);
-    let mut budget = Budget::for_tree(tree);
+    let mut budget = Budget::for_tree(tree.num_nodes(), tree.degree());
     let static_smem = 2 * tree.degree() as u64 * 4 + block.threads() as u64 * 4;
     block
         .reserve_shared(static_smem, cfg.smem_per_sm)
@@ -110,7 +110,7 @@ fn bnb_try_query_with<T: GpuIndex, const M: bool>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn visit<T: GpuIndex, const M: bool>(
+fn visit<T: BoundingVolumeIndex, const M: bool>(
     tree: &T,
     n: u32,
     level: u32,
@@ -157,7 +157,7 @@ fn visit<T: GpuIndex, const M: bool>(
             block.backtrack(level + 1);
         }
         fetch_internal(block, tree, n, opts.layout, level);
-        child_distances(block, tree, n, q, opts.use_minmax_prune, false, scratch);
+        child_distances(block, tree, n, q, opts.use_minmax_prune, false, scratch)?;
         if opts.use_minmax_prune && scratch.sweep.max_d.len() >= k {
             let bound = kth_maxdist(block, &scratch.sweep.max_d, k, &mut scratch.kth);
             *pruning = pruning.min(bound);

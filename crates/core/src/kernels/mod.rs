@@ -1,13 +1,13 @@
 //! The GPU kNN kernels: PSB, branch-and-bound, brute force, restart, range,
 //! and the task-parallel strawman.
 //!
-//! All tree kernels are generic over [`GpuIndex`], so the identical traversal
-//! runs over bounding-sphere trees (SS-tree) and bounding-rectangle trees
-//! (packed R-tree) — the node shape only changes the per-child evaluation and
-//! its instruction cost, which is precisely the comparison the paper's §II-C
-//! makes. Every kernel returns exact results plus the simulated block's
-//! counters; shared helpers live here so all kernels are metered identically
-//! wherever they do identical work.
+//! The bounding-volume kernels are generic over [`BoundingVolumeIndex`], so
+//! the identical traversal runs over bounding-sphere trees (SS-tree) and
+//! bounding-rectangle trees (packed R-tree) — the node shape only changes the
+//! per-child evaluation and its instruction cost, which is precisely the
+//! comparison the paper's §II-C makes. Every kernel returns exact results
+//! plus the simulated block's counters; shared helpers live here so all
+//! kernels are metered identically wherever they do identical work.
 
 pub mod bnb;
 pub mod brute;
@@ -24,7 +24,7 @@ use psb_gpu::{Block, DeviceConfig, FaultState, NodeKind, Phase, TraceSink};
 
 use crate::dist_cost;
 use crate::error::KernelError;
-use crate::index::{GpuIndex, SweepScratch};
+use crate::index::{BoundingVolumeIndex, SweepScratch};
 use crate::knnlist::GpuKnnList;
 use crate::options::{KernelOptions, Metering, NodeLayout};
 
@@ -62,8 +62,8 @@ pub(crate) fn effective_metering(opts: &KernelOptions, faults: &Option<FaultStat
 /// Traversal step budget: generous enough that no valid tree can come close
 /// (branch-and-bound revisits each internal node at most `degree + 1` times),
 /// tight enough that a corruption-induced cycle is cut off promptly.
-pub(crate) fn step_budget<T: GpuIndex>(tree: &T) -> u64 {
-    16 * (tree.num_nodes() as u64 + 2) * (tree.degree() as u64 + 2) + 1024
+pub(crate) fn step_budget(num_nodes: usize, degree: usize) -> u64 {
+    16 * (num_nodes as u64 + 2) * (degree as u64 + 2) + 1024
 }
 
 /// The per-launch hardening ledger: a step counter against a budget, polled
@@ -74,9 +74,9 @@ pub(crate) struct Budget {
 }
 
 impl Budget {
-    /// Budget for a tree traversal.
-    pub fn for_tree<T: GpuIndex>(tree: &T) -> Self {
-        Self { steps: 0, limit: step_budget(tree) }
+    /// Budget for a traversal of `num_nodes` nodes with fan-out `degree`.
+    pub fn for_tree(num_nodes: usize, degree: usize) -> Self {
+        Self { steps: 0, limit: step_budget(num_nodes, degree) }
     }
 
     /// Budget for a linear scan over `n` items in tiles.
@@ -98,7 +98,7 @@ impl Budget {
 }
 
 /// Bounds-check a node id read from a structural link.
-pub(crate) fn checked_node<T: GpuIndex>(
+pub(crate) fn checked_node<T: BoundingVolumeIndex>(
     tree: &T,
     link: &'static str,
     from: u32,
@@ -118,7 +118,7 @@ pub(crate) fn checked_node<T: GpuIndex>(
 
 /// Bounds-check an internal node's child range. The range must be non-empty
 /// and lie inside the node array.
-pub(crate) fn checked_children<T: GpuIndex>(
+pub(crate) fn checked_children<T: BoundingVolumeIndex>(
     tree: &T,
     n: u32,
 ) -> Result<std::ops::Range<u32>, KernelError> {
@@ -142,7 +142,7 @@ pub(crate) fn checked_children<T: GpuIndex>(
 }
 
 /// Bounds-check a leaf node's point range against the point array.
-pub(crate) fn checked_leaf_points<T: GpuIndex>(
+pub(crate) fn checked_leaf_points<T: BoundingVolumeIndex>(
     tree: &T,
     n: u32,
 ) -> Result<std::ops::Range<usize>, KernelError> {
@@ -163,7 +163,10 @@ pub(crate) fn checked_leaf_points<T: GpuIndex>(
 }
 
 /// Bounds-check a leaf's dense id against the leaf count.
-pub(crate) fn checked_leaf_id<T: GpuIndex>(tree: &T, n: u32) -> Result<u32, KernelError> {
+pub(crate) fn checked_leaf_id<T: BoundingVolumeIndex>(
+    tree: &T,
+    n: u32,
+) -> Result<u32, KernelError> {
     let lid = tree.leaf_id(n);
     if (lid as usize) < tree.num_leaves() {
         Ok(lid)
@@ -179,7 +182,7 @@ pub(crate) fn checked_leaf_id<T: GpuIndex>(tree: &T, n: u32) -> Result<u32, Kern
 
 /// Sanity-check the tree frame every traversal relies on before following any
 /// link: a root inside the node array and a non-empty leaf chain.
-pub(crate) fn checked_root<T: GpuIndex>(tree: &T) -> Result<u32, KernelError> {
+pub(crate) fn checked_root<T: BoundingVolumeIndex>(tree: &T) -> Result<u32, KernelError> {
     if tree.num_nodes() == 0 || tree.num_leaves() == 0 {
         return Err(KernelError::CorruptNode { node: 0, detail: "index has no nodes or leaves" });
     }
@@ -189,7 +192,7 @@ pub(crate) fn checked_root<T: GpuIndex>(tree: &T) -> Result<u32, KernelError> {
 /// Meter fetching an internal node's child-volume block. `level` is the node's
 /// tree depth (root = 0), feeding the per-level visit histogram; the load is
 /// attributed to whatever [`Phase`] the block is currently in.
-pub(crate) fn fetch_internal<T: GpuIndex, const M: bool>(
+pub(crate) fn fetch_internal<T: BoundingVolumeIndex, const M: bool>(
     block: &mut Block<'_, M>,
     tree: &T,
     n: u32,
@@ -209,7 +212,7 @@ pub(crate) fn fetch_internal<T: GpuIndex, const M: bool>(
 /// the right-sibling link: leaves are laid out contiguously, so the scan is a
 /// prefetchable stream (the paper's "fast linear scanning"). `level` is the
 /// leaf's tree depth for the visit histogram.
-pub(crate) fn fetch_leaf<T: GpuIndex, const M: bool>(
+pub(crate) fn fetch_leaf<T: BoundingVolumeIndex, const M: bool>(
     block: &mut Block<'_, M>,
     tree: &T,
     n: u32,
@@ -333,7 +336,7 @@ impl SweepMemo {
 /// by the reference sweep and the memo-replay path so both meter identically:
 /// one parallel predicate evaluation, a ballot/find-first-set reduction, and
 /// the serial pick.
-pub(crate) fn leftmost_qualifying<T: GpuIndex, const M: bool>(
+pub(crate) fn leftmost_qualifying<T: BoundingVolumeIndex, const M: bool>(
     block: &mut Block<'_, M>,
     tree: &T,
     kids: std::ops::Range<u32>,
@@ -394,7 +397,7 @@ pub(crate) fn with_scratch<R>(
 /// [`Phase::ResultMerge`], which is left set on return — callers re-set their
 /// phase at the next branch they take.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn process_leaf<T: GpuIndex, const M: bool>(
+pub(crate) fn process_leaf<T: BoundingVolumeIndex, const M: bool>(
     block: &mut Block<'_, M>,
     tree: &T,
     n: u32,
@@ -411,12 +414,10 @@ pub(crate) fn process_leaf<T: GpuIndex, const M: bool>(
     let len = range.len();
     scratch.leaf.clear();
     // Metering is a function of (len, cost) only; the distances themselves
-    // come from the index's leaf sweep, which streams the packed arena block
-    // when one is attached and gathers (exactly as this loop used to)
-    // otherwise. Counters and values are identical either way.
+    // come from the index's leaf sweep over the node's packed arena block.
     let dc = dist_cost(tree.dims());
     block.par_for(len, dc, |_| {});
-    tree.leaf_sweep(n, q, &scratch.dk, &mut scratch.sweep.tmp, &mut scratch.leaf);
+    tree.leaf_sweep(n, q, &scratch.dk, &mut scratch.sweep.tmp, &mut scratch.leaf)?;
     // Computed distances pass through the fault injector. Without an attached
     // fault state `fault_f32` is the identity and meters nothing, so the
     // sweep is skipped wholesale on the fault-free path.
@@ -438,10 +439,10 @@ pub(crate) fn process_leaf<T: GpuIndex, const M: bool>(
 /// data-parallel sweep whose per-item cost comes from the index's node shape.
 ///
 /// `with_anchor` asks the sweep for the representative-point distances the
-/// descent uses as its tie-break — packed-arena sweeps derive them from the
-/// same center distance as the bounds, so requesting them up front is free
-/// where computing them per-child later would gather again.
-pub(crate) fn child_distances<T: GpuIndex, const M: bool>(
+/// descent uses as its tie-break — the sweep derives them from the same
+/// center distance as the bounds, so requesting them up front is free.
+/// Fails when the node's packed arena block is stale.
+pub(crate) fn child_distances<T: BoundingVolumeIndex, const M: bool>(
     block: &mut Block<'_, M>,
     tree: &T,
     n: u32,
@@ -449,15 +450,14 @@ pub(crate) fn child_distances<T: GpuIndex, const M: bool>(
     with_max: bool,
     with_anchor: bool,
     scratch: &mut Scratch,
-) {
+) -> Result<(), KernelError> {
     let cnt = tree.children(n).len();
     scratch.sweep.clear();
     let cost = tree.child_eval_cost(with_max);
-    // Metering depends only on (cnt, cost); values come from the index sweep
-    // (packed arena stream, or the same per-child gather as the historical
-    // loop body).
+    // Metering depends only on (cnt, cost); values come from the index's
+    // sweep over the node's packed arena block.
     block.par_for(cnt, cost, |_| {});
-    tree.child_sweep(n, q, &scratch.dk, with_max, with_anchor, &mut scratch.sweep);
+    tree.child_sweep(n, q, &scratch.dk, with_max, with_anchor, &mut scratch.sweep)?;
     // Loaded child volumes pass through the fault injector: a flipped bound
     // is how an ECC event on the node payload reaches the pruning decisions.
     // Skipped wholesale when no fault state is attached (identity, no meter).
@@ -469,20 +469,24 @@ pub(crate) fn child_distances<T: GpuIndex, const M: bool>(
             *v = block.fault_f32(*v);
         }
     }
+    Ok(())
 }
 
 /// Follow node `n`'s rope (escape) link, metered as one pointer-sized load
 /// plus the branch. Returns [`NO_ROPE`](crate::index::NO_ROPE) at the end of
 /// the preorder sweep; any other target is bounds-checked like every
-/// structural link.
-pub(crate) fn checked_rope<T: GpuIndex, const M: bool>(
+/// structural link, and a node with no link at all (a missing or short rope
+/// array) is a corrupt node.
+pub(crate) fn checked_rope<T: BoundingVolumeIndex, const M: bool>(
     block: &mut Block<'_, M>,
     tree: &T,
     n: u32,
 ) -> Result<u32, KernelError> {
     block.scalar(1);
     block.load_global(4);
-    let r = tree.rope(n);
+    let r = tree
+        .rope(n)
+        .ok_or(KernelError::CorruptNode { node: n, detail: "no rope link for the node" })?;
     if r == crate::index::NO_ROPE {
         Ok(crate::index::NO_ROPE)
     } else {
@@ -490,24 +494,24 @@ pub(crate) fn checked_rope<T: GpuIndex, const M: bool>(
     }
 }
 
-/// Evaluate one node's **own** bounding volume against the query — the
-/// node-centric arrival test of the rope traversals, where each node fetches
-/// its own entry instead of the parent sweeping all children at once. Metered
-/// as a one-item sweep at the index's node-shape cost; the bound passes
-/// through the fault injector exactly like the batched sweep's.
-pub(crate) fn node_min_dist<T: GpuIndex, const M: bool>(
+/// Evaluate one non-root node's **own** bounding volume against the query —
+/// the node-centric arrival test of the rope traversals, where each node
+/// fetches its own entry instead of the parent sweeping all children at once.
+/// Metered as a one-item sweep at the index's node-shape cost; the bound
+/// passes through the fault injector exactly like the batched sweep's.
+pub(crate) fn node_min_dist<T: BoundingVolumeIndex, const M: bool>(
     block: &mut Block<'_, M>,
     tree: &T,
     n: u32,
     q: &[f32],
-) -> f32 {
+) -> Result<f32, KernelError> {
     block.load_global(tree.child_entry_bytes());
     block.par_for(1, tree.child_eval_cost(false), |_| {});
-    let mut d = tree.child_min_max(n, q, false).0;
+    let mut d = tree.child_min_max(n, q, false)?.0;
     if block.has_faults() {
         d = block.fault_f32(d);
     }
-    d
+    Ok(d)
 }
 
 /// The k-th smallest MAXDIST bound (Algorithm 1 line 14): an upper bound on the

@@ -26,7 +26,7 @@ use psb_gpu::{DeviceConfig, FaultState, KernelStats, NoopSink, Phase, TraceSink}
 use psb_sstree::Neighbor;
 
 use crate::error::KernelError;
-use crate::index::GpuIndex;
+use crate::index::BoundingVolumeIndex;
 
 use super::{
     checked_children, checked_leaf_id, checked_node, checked_root, child_distances,
@@ -41,7 +41,7 @@ use crate::options::{KernelOptions, Metering};
 /// Trusted-tree entry point: panics if the hardened kernel reports an error
 /// (which a validated tree and a fault-free device can never produce). Use
 /// [`psb_try_query`] to handle corruption or injected faults.
-pub fn psb_query<T: GpuIndex>(
+pub fn psb_query<T: BoundingVolumeIndex>(
     tree: &T,
     q: &[f32],
     k: usize,
@@ -54,7 +54,7 @@ pub fn psb_query<T: GpuIndex>(
 /// [`psb_query`] with every metering call mirrored into `sink`. Tracing is
 /// observation-only: the neighbors and counters are bit-identical to the
 /// untraced run.
-pub fn psb_query_traced<T: GpuIndex>(
+pub fn psb_query_traced<T: BoundingVolumeIndex>(
     tree: &T,
     q: &[f32],
     k: usize,
@@ -72,7 +72,7 @@ pub fn psb_query_traced<T: GpuIndex>(
 /// or hanging. With `faults: None` and a valid tree this is bit-identical to
 /// the original kernel (the checks meter nothing).
 #[allow(clippy::too_many_arguments)]
-pub fn psb_try_query<T: GpuIndex>(
+pub fn psb_try_query<T: BoundingVolumeIndex>(
     tree: &T,
     q: &[f32],
     k: usize,
@@ -99,7 +99,7 @@ pub fn psb_try_query<T: GpuIndex>(
 
 /// [`psb_query`] through the throughput kernel ([`psb_try_query_replay`]):
 /// trusted-tree entry point for the scheduled engine.
-pub(crate) fn psb_query_replay<T: GpuIndex>(
+pub(crate) fn psb_query_replay<T: BoundingVolumeIndex>(
     tree: &T,
     q: &[f32],
     k: usize,
@@ -118,7 +118,7 @@ pub(crate) fn psb_query_replay<T: GpuIndex>(
 /// attached: injected bit-flips draw from a per-load RNG stream, so a replayed
 /// value would diverge from the reference kernel's.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn psb_try_query_replay<T: GpuIndex>(
+pub(crate) fn psb_try_query_replay<T: BoundingVolumeIndex>(
     tree: &T,
     q: &[f32],
     k: usize,
@@ -142,7 +142,7 @@ pub(crate) fn psb_try_query_replay<T: GpuIndex>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn psb_try_query_with<T: GpuIndex, const M: bool>(
+fn psb_try_query_with<T: BoundingVolumeIndex, const M: bool>(
     tree: &T,
     q: &[f32],
     k: usize,
@@ -161,7 +161,7 @@ fn psb_try_query_with<T: GpuIndex, const M: bool>(
     if replay {
         scratch.memo.begin_query(tree.num_nodes());
     }
-    let mut budget = Budget::for_tree(tree);
+    let mut budget = Budget::for_tree(tree.num_nodes(), tree.degree());
     // Static shared memory: the per-child MINDIST/MAXDIST arrays of Algorithm 1
     // plus a warp-reduction scratch line (fused blocks size the line to their
     // actual thread count).
@@ -182,7 +182,7 @@ fn psb_try_query_with<T: GpuIndex, const M: bool>(
         fetch_internal(&mut block, tree, n, opts.layout, level);
         // The anchor distances ride along in the same sweep (on a packed
         // arena they reuse the very center distance the bounds came from).
-        child_distances(&mut block, tree, n, q, false, true, scratch);
+        child_distances(&mut block, tree, n, q, false, true, scratch)?;
         block.par_reduce(scratch.sweep.min_d.len(), 2);
         // Pick the child nearest the query. MINDIST alone ties at 0 whenever
         // several child spheres overlap the query (common for the oversized
@@ -233,7 +233,7 @@ fn psb_try_query_with<T: GpuIndex, const M: bool>(
                     leftmost_qualifying(&mut block, tree, kids, min_d, pruning, visited)
                 }
                 None => {
-                    child_distances(&mut block, tree, n, q, opts.use_minmax_prune, false, scratch);
+                    child_distances(&mut block, tree, n, q, opts.use_minmax_prune, false, scratch)?;
                     let bound = if opts.use_minmax_prune && scratch.sweep.max_d.len() >= k {
                         let b = kth_maxdist(&mut block, &scratch.sweep.max_d, k, &mut scratch.kth);
                         pruning = pruning.min(b);

@@ -16,7 +16,7 @@ use psb_gpu::{Block, DeviceConfig, FaultState, KernelStats, NodeKind, NoopSink, 
 use psb_sstree::Neighbor;
 
 use crate::error::KernelError;
-use crate::index::{GpuIndex, NO_ROPE};
+use crate::index::{BoundingVolumeIndex, NO_ROPE};
 
 use super::{
     checked_children, checked_leaf_id, checked_leaf_points, checked_node, checked_root,
@@ -31,7 +31,7 @@ use crate::options::{KernelOptions, Metering};
 ///
 /// Trusted-tree entry point: panics on a [`KernelError`]. Use
 /// [`range_try_query`] to handle corruption or injected faults.
-pub fn range_query_gpu<T: GpuIndex>(
+pub fn range_query_gpu<T: BoundingVolumeIndex>(
     tree: &T,
     q: &[f32],
     radius: f32,
@@ -43,7 +43,7 @@ pub fn range_query_gpu<T: GpuIndex>(
 
 /// [`range_query_gpu`] with every metering call mirrored into `sink`; results
 /// and counters are bit-identical to the untraced run.
-pub fn range_query_gpu_traced<T: GpuIndex>(
+pub fn range_query_gpu_traced<T: BoundingVolumeIndex>(
     tree: &T,
     q: &[f32],
     radius: f32,
@@ -59,7 +59,7 @@ pub fn range_query_gpu_traced<T: GpuIndex>(
 /// corruption or injected device faults. Bit-identical to the original with
 /// `faults: None` on a valid tree.
 #[allow(clippy::too_many_arguments)]
-pub fn range_try_query<T: GpuIndex>(
+pub fn range_try_query<T: BoundingVolumeIndex>(
     tree: &T,
     q: &[f32],
     radius: f32,
@@ -83,7 +83,7 @@ pub fn range_try_query<T: GpuIndex>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn range_try_query_with<T: GpuIndex, const M: bool>(
+fn range_try_query_with<T: BoundingVolumeIndex, const M: bool>(
     tree: &T,
     q: &[f32],
     radius: f32,
@@ -95,7 +95,7 @@ fn range_try_query_with<T: GpuIndex, const M: bool>(
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
     let mut block = super::kernel_block::<M>(opts, cfg, sink);
     block.set_faults(faults);
-    let mut budget = Budget::for_tree(tree);
+    let mut budget = Budget::for_tree(tree.num_nodes(), tree.degree());
     let static_smem = tree.degree() as u64 * 4 + block.threads() as u64 * 4;
     block
         .reserve_shared(static_smem, cfg.smem_per_sm)
@@ -117,7 +117,7 @@ fn range_try_query_with<T: GpuIndex, const M: bool>(
             block.set_phase(Phase::Descend);
             let kids = checked_children(tree, n)?;
             fetch_internal(&mut block, tree, n, opts.layout, level);
-            child_distances(&mut block, tree, n, q, false, false, scratch);
+            child_distances(&mut block, tree, n, q, false, false, scratch)?;
             block.par_for(kids.len(), 1, |_| {});
             block.par_reduce(kids.len(), 1);
             block.scalar(2);
@@ -161,10 +161,9 @@ fn range_try_query_with<T: GpuIndex, const M: bool>(
             let len = range.len();
             scratch.leaf.clear();
             // Metering depends only on (len, dc); the index's leaf sweep
-            // streams the packed arena block when attached, else gathers
-            // exactly as this loop used to (see `process_leaf`).
+            // streams the packed arena block (see `process_leaf`).
             block.par_for(len, dc, |_| {});
-            tree.leaf_sweep(n, q, &scratch.dk, &mut scratch.sweep.tmp, &mut scratch.leaf);
+            tree.leaf_sweep(n, q, &scratch.dk, &mut scratch.sweep.tmp, &mut scratch.leaf)?;
             if block.has_faults() {
                 for entry in &mut scratch.leaf {
                     entry.0 = block.fault_f32(entry.0);
@@ -225,7 +224,7 @@ fn range_try_query_with<T: GpuIndex, const M: bool>(
 /// `tests/ropes.rs` pins the equivalence), so the same leaves produce the
 /// same rows.
 #[allow(clippy::too_many_arguments)]
-fn range_rope_with<T: GpuIndex, const M: bool>(
+fn range_rope_with<T: BoundingVolumeIndex, const M: bool>(
     mut block: Block<'_, M>,
     mut budget: Budget,
     tree: &T,
@@ -242,7 +241,7 @@ fn range_rope_with<T: GpuIndex, const M: bool>(
         block.set_phase(Phase::Descend);
         // The root carries no volume worth testing (it always qualifies);
         // every other arrival fetches and evaluates its own entry.
-        let qualifies = n == tree.root() || node_min_dist(&mut block, tree, n, q) <= radius;
+        let qualifies = n == tree.root() || node_min_dist(&mut block, tree, n, q)? <= radius;
         let next = if !qualifies {
             block.set_phase(Phase::Backtrack);
             checked_rope(&mut block, tree, n)?
@@ -252,7 +251,7 @@ fn range_rope_with<T: GpuIndex, const M: bool>(
             fetch_leaf(&mut block, tree, n, opts.layout, false, tree.node_depth(n));
             scratch.leaf.clear();
             block.par_for(range.len(), dc, |_| {});
-            tree.leaf_sweep(n, q, &scratch.dk, &mut scratch.sweep.tmp, &mut scratch.leaf);
+            tree.leaf_sweep(n, q, &scratch.dk, &mut scratch.sweep.tmp, &mut scratch.leaf)?;
             if block.has_faults() {
                 for entry in &mut scratch.leaf {
                     entry.0 = block.fault_f32(entry.0);

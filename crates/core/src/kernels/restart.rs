@@ -16,7 +16,7 @@ use psb_gpu::{DeviceConfig, FaultState, KernelStats, NodeKind, NoopSink, Phase, 
 use psb_sstree::Neighbor;
 
 use crate::error::KernelError;
-use crate::index::{GpuIndex, NO_ROPE};
+use crate::index::{BoundingVolumeIndex, NO_ROPE};
 
 use super::{
     checked_children, checked_leaf_id, checked_node, checked_root, checked_rope, child_distances,
@@ -29,7 +29,7 @@ use crate::options::{KernelOptions, Metering};
 ///
 /// Trusted-tree entry point: panics on a [`KernelError`]. Use
 /// [`restart_try_query`] to handle corruption or injected faults.
-pub fn restart_query<T: GpuIndex>(
+pub fn restart_query<T: BoundingVolumeIndex>(
     tree: &T,
     q: &[f32],
     k: usize,
@@ -41,7 +41,7 @@ pub fn restart_query<T: GpuIndex>(
 
 /// [`restart_query`] with every metering call mirrored into `sink`; results
 /// and counters are bit-identical to the untraced run.
-pub fn restart_query_traced<T: GpuIndex>(
+pub fn restart_query_traced<T: BoundingVolumeIndex>(
     tree: &T,
     q: &[f32],
     k: usize,
@@ -57,7 +57,7 @@ pub fn restart_query_traced<T: GpuIndex>(
 /// hangs under corruption or injected device faults. Bit-identical to the
 /// original with `faults: None` on a valid tree.
 #[allow(clippy::too_many_arguments)]
-pub fn restart_try_query<T: GpuIndex>(
+pub fn restart_try_query<T: BoundingVolumeIndex>(
     tree: &T,
     q: &[f32],
     k: usize,
@@ -81,7 +81,7 @@ pub fn restart_try_query<T: GpuIndex>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn restart_try_query_with<T: GpuIndex, const M: bool>(
+fn restart_try_query_with<T: BoundingVolumeIndex, const M: bool>(
     tree: &T,
     q: &[f32],
     k: usize,
@@ -93,7 +93,7 @@ fn restart_try_query_with<T: GpuIndex, const M: bool>(
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
     let mut block = super::kernel_block::<M>(opts, cfg, sink);
     block.set_faults(faults);
-    let mut budget = Budget::for_tree(tree);
+    let mut budget = Budget::for_tree(tree.num_nodes(), tree.degree());
     let static_smem = 2 * tree.degree() as u64 * 4 + block.threads() as u64 * 4;
     block
         .reserve_shared(static_smem, cfg.smem_per_sm)
@@ -109,7 +109,7 @@ fn restart_try_query_with<T: GpuIndex, const M: bool>(
         budget.tick(&block)?;
         let kids = checked_children(tree, n)?;
         fetch_internal(&mut block, tree, n, opts.layout, level);
-        child_distances(&mut block, tree, n, q, false, true, scratch);
+        child_distances(&mut block, tree, n, q, false, true, scratch)?;
         block.par_reduce(scratch.sweep.min_d.len(), 2);
         // Pick the child nearest the query. MINDIST alone ties at 0 whenever
         // several child spheres overlap the query (common for the oversized
@@ -146,7 +146,7 @@ fn restart_try_query_with<T: GpuIndex, const M: bool>(
         loop {
             budget.tick(&block)?;
             block.set_phase(Phase::Descend);
-            let qualifies = m == tree.root() || node_min_dist(&mut block, tree, m, q) < pruning;
+            let qualifies = m == tree.root() || node_min_dist(&mut block, tree, m, q)? < pruning;
             let next = if !qualifies {
                 block.set_phase(Phase::Backtrack);
                 checked_rope(&mut block, tree, m)?
@@ -191,7 +191,7 @@ fn restart_try_query_with<T: GpuIndex, const M: bool>(
             block.set_phase(Phase::Descend);
             let kids = checked_children(tree, n)?;
             fetch_internal(&mut block, tree, n, opts.layout, level);
-            child_distances(&mut block, tree, n, q, opts.use_minmax_prune, false, scratch);
+            child_distances(&mut block, tree, n, q, opts.use_minmax_prune, false, scratch)?;
             if opts.use_minmax_prune && scratch.sweep.max_d.len() >= k {
                 let bound = kth_maxdist(&mut block, &scratch.sweep.max_d, k, &mut scratch.kth);
                 pruning = pruning.min(bound);

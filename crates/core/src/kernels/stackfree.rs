@@ -31,7 +31,7 @@ use crate::dist_cost;
 use crate::error::KernelError;
 use crate::index::ImplicitKdIndex;
 
-use super::{checked_root, effective_metering, Budget, Scratch};
+use super::{effective_metering, Budget, Scratch};
 use crate::knnlist::GpuKnnList;
 use crate::options::{KernelOptions, Metering};
 
@@ -103,7 +103,8 @@ fn stackfree_try_query_with<T: ImplicitKdIndex, const M: bool>(
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
     let mut block = super::kernel_block::<M>(opts, cfg, sink);
     block.set_faults(faults);
-    let mut budget = Budget::for_tree(tree);
+    // Binary fan-out: the same budget rule as the bounding-volume kernels.
+    let mut budget = Budget::for_tree(tree.num_nodes(), 2);
     // The whole traversal state: two registers. The only shared memory is the
     // k-best list (policy-dependent) plus one word per thread.
     let static_smem = block.threads() as u64 * 4;
@@ -112,10 +113,13 @@ fn stackfree_try_query_with<T: ImplicitKdIndex, const M: bool>(
         .map_err(|needed| KernelError::SmemOverflow { needed, limit: cfg.smem_per_sm })?;
     let mut list = GpuKnnList::new(k, opts.smem_policy, &mut block, cfg.smem_per_sm);
 
-    let root = checked_root(tree)?;
+    // The heap layout fixes the root at node 0; only an empty tree has none.
+    if tree.num_nodes() == 0 {
+        return Err(KernelError::CorruptNode { node: 0, detail: "index has no nodes" });
+    }
     let len = tree.num_nodes() as u64;
     let dc = dist_cost(tree.dims());
-    let mut curr = root;
+    let mut curr = 0u32;
     let mut prev = u32::MAX; // the root's "parent": first arrival is from above
     block.set_phase(Phase::Descend);
     while curr != u32::MAX {
@@ -256,28 +260,11 @@ mod tests {
         fn dims(&self) -> usize {
             self.points.dims()
         }
-        fn degree(&self) -> usize {
-            2
+        fn num_nodes(&self) -> usize {
+            self.points.len()
         }
-        fn root(&self) -> u32 {
-            0
-        }
-        fn is_leaf(&self, n: u32) -> bool {
-            2 * n as usize + 1 >= self.points.len()
-        }
-        fn children(&self, n: u32) -> std::ops::Range<u32> {
-            let len = self.points.len() as u32;
-            (2 * n + 1).min(len)..(2 * n + 3).min(len)
-        }
-        fn parent(&self, n: u32) -> u32 {
-            if n == 0 {
-                u32::MAX
-            } else {
-                (n - 1) >> 1
-            }
-        }
-        fn leaf_points(&self, n: u32) -> std::ops::Range<usize> {
-            n as usize..n as usize + 1
+        fn num_points(&self) -> usize {
+            self.points.len()
         }
         fn point(&self, pos: usize) -> &[f32] {
             self.points.point(pos)
@@ -285,59 +272,17 @@ mod tests {
         fn point_id(&self, pos: usize) -> u32 {
             self.ids[pos]
         }
-        fn leaf_id(&self, n: u32) -> u32 {
-            n - self.points.len() as u32 / 2
-        }
-        fn leaf_node_of(&self, l: u32) -> u32 {
-            l + self.points.len() as u32 / 2
-        }
-        fn num_leaves(&self) -> usize {
-            self.points.len().div_ceil(2)
-        }
-        fn num_nodes(&self) -> usize {
-            self.points.len()
-        }
-        fn num_points(&self) -> usize {
-            self.points.len()
-        }
-        fn subtree_max_leaf(&self, _n: u32) -> u32 {
-            0
-        }
-        fn rope(&self, _n: u32) -> u32 {
-            crate::index::NO_ROPE
-        }
-        fn node_depth(&self, n: u32) -> u32 {
-            31 - (n + 1).leading_zeros()
-        }
         fn index_bytes(&self) -> u64 {
             self.points.len() as u64 * self.point_entry_bytes()
         }
-        fn internal_node_bytes(&self, _n: u32) -> u64 {
-            self.point_entry_bytes()
-        }
-        fn leaf_node_bytes(&self, _n: u32) -> u64 {
-            self.point_entry_bytes()
-        }
-        fn child_entry_bytes(&self) -> u64 {
-            self.point_entry_bytes()
-        }
         fn point_entry_bytes(&self) -> u64 {
             self.points.dims() as u64 * 4 + 4
-        }
-        fn child_min_max(&self, _c: u32, _q: &[f32], _with_max: bool) -> (f32, f32) {
-            panic!("implicit kd-tree has no bounding volumes")
-        }
-        fn child_eval_cost(&self, _with_max: bool) -> u64 {
-            1
-        }
-        fn child_anchor_dist(&self, c: u32, q: &[f32]) -> f32 {
-            psb_geom::dist(q, self.points.point(c as usize))
         }
     }
 
     impl ImplicitKdIndex for MiniLb {
         fn split_dim(&self, n: u32) -> usize {
-            (31 - (n + 1).leading_zeros()) as usize % self.points.dims()
+            self.node_depth(n) as usize % self.points.dims()
         }
     }
 

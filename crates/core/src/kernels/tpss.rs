@@ -14,7 +14,7 @@
 use psb_geom::{dist, PointSet};
 
 use crate::error::{EngineError, KernelError};
-use crate::index::GpuIndex;
+use crate::index::BoundingVolumeIndex;
 use psb_gpu::{run_task_parallel_traced, DeviceConfig, KernelStats, LaneStep, NoopSink, TraceSink};
 use psb_sstree::Neighbor;
 
@@ -28,7 +28,7 @@ const OP_INTERNAL: u32 = 0;
 const OP_LEAF: u32 = 1;
 const OP_POP: u32 = 2;
 
-struct Lane<'a, T: GpuIndex> {
+struct Lane<'a, T: BoundingVolumeIndex> {
     tree: &'a T,
     q: &'a [f32],
     k: usize,
@@ -47,7 +47,7 @@ struct Lane<'a, T: GpuIndex> {
     error: Option<KernelError>,
 }
 
-impl<T: GpuIndex> Lane<'_, T> {
+impl<T: BoundingVolumeIndex> Lane<'_, T> {
     fn bound(&self) -> f32 {
         if self.best.len() >= self.k {
             self.best.last().map_or(f32::INFINITY, |n| n.dist)
@@ -156,7 +156,10 @@ impl<T: GpuIndex> Lane<'_, T> {
         let count = kids.len() as u64;
         let mut qualifying: Vec<(u32, f32)> = Vec::with_capacity(kids.len());
         for c in kids {
-            let (d, _) = tree.child_min_max(c, self.q, false);
+            let d = match tree.child_min_max(c, self.q, false) {
+                Ok((d, _)) => d,
+                Err(e) => return self.fail(e),
+            };
             if d < self.bound() {
                 qualifying.push((c, d));
             }
@@ -173,7 +176,7 @@ impl<T: GpuIndex> Lane<'_, T> {
 
 /// Runs a batch task-parallel: queries are packed into blocks of
 /// `threads_per_block` lanes. Returns per-query results and per-block stats.
-pub fn tpss_batch<T: GpuIndex>(
+pub fn tpss_batch<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     k: usize,
@@ -190,7 +193,7 @@ pub fn tpss_batch<T: GpuIndex>(
 /// Trusted-tree entry point: panics if any lane reports a [`KernelError`],
 /// which a validated tree can never produce. Use [`tpss_try_batch`] to handle
 /// corruption per query.
-pub fn tpss_batch_traced<T: GpuIndex>(
+pub fn tpss_batch_traced<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     k: usize,
@@ -217,7 +220,7 @@ pub type TpssBatchOutput = (Vec<Result<Vec<Neighbor>, KernelError>>, Vec<KernelS
 /// [`KernelError`] instead of a panic or an endless round loop. Lanes that
 /// fail simply go idle; surviving lanes in the same block finish normally.
 /// Bit-identical results and stats to [`tpss_batch`] on a valid tree.
-pub fn tpss_try_batch<T: GpuIndex>(
+pub fn tpss_try_batch<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     k: usize,
@@ -231,7 +234,7 @@ pub fn tpss_try_batch<T: GpuIndex>(
     }
     assert_eq!(queries.dims(), tree.dims());
     let tpb = threads_per_block.max(1) as usize;
-    let limit = step_budget(tree);
+    let limit = step_budget(tree.num_nodes(), tree.degree());
 
     let mut results = Vec::with_capacity(queries.len());
     let mut per_block = Vec::new();

@@ -307,8 +307,7 @@ mod tests {
         assert_eq!(out.iter().map(|n| n.id).collect::<Vec<_>>(), vec![7, 19, 42]);
         // First-come tie policy at the bound: once full at dist 2.5, later
         // equal-distance ids are rejected — deterministic in offer order,
-        // which the layout-parity suite relies on (arena and legacy sweeps
-        // offer in identical order, hence identical ids).
+        // so identical sweeps always keep identical ids.
         let (mut b2, smem2) = block();
         let mut list2 = GpuKnnList::new(3, SharedMemPolicy::AllShared, &mut b2, smem2);
         for id in [3u32, 28, 7, 42, 19] {

@@ -41,9 +41,7 @@ pub use engine::{
     QueryBatchResult,
 };
 pub use error::{EngineError, KernelError, QueryOutcome};
-pub use index::{
-    gather_child_sweep, gather_leaf_sweep, GpuIndex, ImplicitKdIndex, SweepScratch, NO_ROPE,
-};
+pub use index::{BoundingVolumeIndex, GpuIndex, ImplicitKdIndex, SweepScratch, NO_ROPE};
 pub use kernels::bnb::bnb_try_query;
 pub use kernels::brute::{brute_index_query, brute_index_range, brute_try_query};
 pub use kernels::psb::psb_try_query;

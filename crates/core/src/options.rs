@@ -93,7 +93,7 @@ pub struct KernelOptions {
     /// *range* kernel's parent backtracking (DESIGN.md §18). Every arriving
     /// node is evaluated once against the query; qualifying internal nodes
     /// fall through to their first child, everything else follows
-    /// `GpuIndex::rope`. Results are bit-identical to the stacked traversal
+    /// `BoundingVolumeIndex::rope`. Results are bit-identical to the stacked traversal
     /// (`tests/ropes.rs`); counters reflect the rope fetches. Off by default:
     /// the paper's PSB figures use the leaf-sequential traversal.
     pub rope: bool,

@@ -22,7 +22,7 @@ use psb_geom::PointSet;
 use psb_gpu::DeviceConfig;
 
 use crate::engine::{run_batch_ordered, QueryBatchResult};
-use crate::index::GpuIndex;
+use crate::index::BoundingVolumeIndex;
 use crate::kernels::bnb::bnb_query;
 use crate::kernels::psb::{psb_query, psb_query_replay};
 use crate::kernels::range::range_query_gpu;
@@ -67,7 +67,7 @@ pub enum StreamKernel {
 ///     assert!(!tail.neighbors.is_empty());
 /// }
 /// ```
-pub struct QueryStream<'t, T: GpuIndex> {
+pub struct QueryStream<'t, T: BoundingVolumeIndex> {
     tree: &'t T,
     kernel: StreamKernel,
     cfg: DeviceConfig,
@@ -92,7 +92,7 @@ pub struct QueryStream<'t, T: GpuIndex> {
     execute_ns: u64,
 }
 
-impl<'t, T: GpuIndex> QueryStream<'t, T> {
+impl<'t, T: BoundingVolumeIndex> QueryStream<'t, T> {
     /// The default chunk size: the paper's 240-query batch (§V-B).
     pub const DEFAULT_CHUNK: usize = 240;
 

@@ -20,7 +20,7 @@
 //!    amortized over the buffered queries ([`Block::load_global_share`]);
 //!    each buffered query prunes against its *current* bound (which may have
 //!    tightened since it enqueued itself), sweeps the children via the same
-//!    [`GpuIndex::child_sweep`]/[`GpuIndex::leaf_sweep`] hooks as the
+//!    [`BoundingVolumeIndex::child_sweep`]/[`BoundingVolumeIndex::leaf_sweep`] hooks as the
 //!    per-query kernels, tightens its bound with the k-th-MAXDIST rule, and
 //!    appends itself to the buffers of surviving children. Leaf sweeps fold
 //!    candidates into the query's [`GpuKnnList`] (or the range hit list).
@@ -77,7 +77,7 @@ use rayon::prelude::*;
 
 use crate::engine::{record_batch, schedule_order, warps_of, QueryBatchResult};
 use crate::error::{EngineError, KernelError, QueryOutcome};
-use crate::index::GpuIndex;
+use crate::index::BoundingVolumeIndex;
 use crate::kernels::{
     checked_children, checked_leaf_points, checked_root, child_distances, fetch_internal,
     kth_maxdist, process_leaf, with_scratch, Budget, Scratch,
@@ -218,7 +218,7 @@ fn share(total: u64, m: u64, j: u64) -> u64 {
 /// Bytes and transactions one coalesced fetch of node `n`'s arena block
 /// moves, mirroring [`fetch_internal`] / [`fetch_leaf`](crate::kernels) for
 /// the same layout.
-fn node_fetch_cost<T: GpuIndex, const M: bool>(
+fn node_fetch_cost<T: BoundingVolumeIndex, const M: bool>(
     tree: &T,
     n: u32,
     leaf: bool,
@@ -244,7 +244,10 @@ fn node_fetch_cost<T: GpuIndex, const M: bool>(
 /// Depth of every node reachable from `root` (root = 0), plus the maximum.
 /// Rejects cycles and diamond links with a typed error instead of hanging —
 /// the wave loop's level schedule is only meaningful on a proper tree.
-fn node_levels<T: GpuIndex>(tree: &T, root: u32) -> Result<(Vec<u32>, u32), KernelError> {
+fn node_levels<T: BoundingVolumeIndex>(
+    tree: &T,
+    root: u32,
+) -> Result<(Vec<u32>, u32), KernelError> {
     let nn = tree.num_nodes();
     let mut levels = vec![u32::MAX; nn];
     levels[root as usize] = 0;
@@ -281,7 +284,7 @@ fn node_levels<T: GpuIndex>(tree: &T, root: u32) -> Result<(Vec<u32>, u32), Kern
 /// PSB phase 1 for one wave query: the identical greedy descent and primed
 /// leaf fold as [`psb_try_query`](crate::kernels::psb::psb_try_query), so the
 /// wave's starting bound (and its metered cost) match the per-query kernel's.
-fn prime_knn<T: GpuIndex, const M: bool>(
+fn prime_knn<T: BoundingVolumeIndex, const M: bool>(
     tree: &T,
     q: &[f32],
     k: usize,
@@ -296,7 +299,7 @@ fn prime_knn<T: GpuIndex, const M: bool>(
         .reserve_shared(static_smem, cfg.smem_per_sm)
         .map_err(|needed| KernelError::SmemOverflow { needed, limit: cfg.smem_per_sm })?;
     let mut list = GpuKnnList::new(k, opts.smem_policy, &mut block, cfg.smem_per_sm);
-    let mut budget = Budget::for_tree(tree);
+    let mut budget = Budget::for_tree(tree.num_nodes(), tree.degree());
     block.set_phase(Phase::Descend);
     let mut n = root;
     let mut level = 0u32;
@@ -304,7 +307,7 @@ fn prime_knn<T: GpuIndex, const M: bool>(
         budget.tick(&block)?;
         let kids = checked_children(tree, n)?;
         fetch_internal(&mut block, tree, n, opts.layout, level);
-        child_distances(&mut block, tree, n, q, false, true, scratch);
+        child_distances(&mut block, tree, n, q, false, true, scratch)?;
         block.par_reduce(scratch.sweep.min_d.len(), 2);
         // Nearest child by (MINDIST, anchor distance) — the same tie-break
         // as PSB's descent, for the same reason (overlapping child volumes
@@ -329,7 +332,7 @@ fn prime_knn<T: GpuIndex, const M: bool>(
 
 /// Range-mode per-query setup: no descent (the bound is the radius), just the
 /// block and the range kernel's static shared-memory reservation.
-fn prime_range<T: GpuIndex, const M: bool>(
+fn prime_range<T: BoundingVolumeIndex, const M: bool>(
     tree: &T,
     radius: f32,
     cfg: &DeviceConfig,
@@ -348,7 +351,7 @@ fn prime_range<T: GpuIndex, const M: bool>(
 /// the lane stays active — sweep the node for this query (children into
 /// `state.out`, leaf points into the result list).
 #[allow(clippy::too_many_arguments)]
-fn process_entry<T: GpuIndex, const M: bool>(
+fn process_entry<T: BoundingVolumeIndex, const M: bool>(
     tree: &T,
     q: &[f32],
     state: &mut QueryState<M>,
@@ -383,7 +386,7 @@ fn process_entry<T: GpuIndex, const M: bool>(
         scratch.leaf.clear();
         let dc = crate::dist_cost(tree.dims());
         state.block.par_for(range.len(), dc, |_| {});
-        tree.leaf_sweep(n, q, &scratch.dk, &mut scratch.sweep.tmp, &mut scratch.leaf);
+        tree.leaf_sweep(n, q, &scratch.dk, &mut scratch.sweep.tmp, &mut scratch.leaf)?;
         state.block.set_phase(Phase::ResultMerge);
         match mode {
             WaveMode::Knn { .. } => {
@@ -413,7 +416,7 @@ fn process_entry<T: GpuIndex, const M: bool>(
     } else {
         let kids = checked_children(tree, n)?;
         let with_max = matches!(mode, WaveMode::Knn { .. }) && opts.use_minmax_prune;
-        child_distances(&mut state.block, tree, n, q, with_max, false, scratch);
+        child_distances(&mut state.block, tree, n, q, with_max, false, scratch)?;
         if let WaveMode::Knn { k } = mode {
             if with_max && scratch.sweep.max_d.len() >= k {
                 let b = kth_maxdist(&mut state.block, &scratch.sweep.max_d, k, &mut scratch.kth);
@@ -435,7 +438,7 @@ fn process_entry<T: GpuIndex, const M: bool>(
 }
 
 /// Everything the sequential push/flush path needs in one place.
-struct WaveCtx<'a, T: GpuIndex> {
+struct WaveCtx<'a, T: BoundingVolumeIndex> {
     tree: &'a T,
     queries: &'a PointSet,
     mode: WaveMode,
@@ -444,7 +447,7 @@ struct WaveCtx<'a, T: GpuIndex> {
     levels: Vec<u32>,
 }
 
-impl<T: GpuIndex> WaveCtx<'_, T> {
+impl<T: BoundingVolumeIndex> WaveCtx<'_, T> {
     /// Append `(query, mindist)` to node `n`'s buffer; a buffer that reaches
     /// capacity is flushed (swept) immediately.
     fn push<const M: bool>(
@@ -512,7 +515,7 @@ impl<T: GpuIndex> WaveCtx<'_, T> {
 }
 
 /// The wave traversal proper: prime, seed, then sweep level by level.
-fn wave_execute<T: GpuIndex, const M: bool>(
+fn wave_execute<T: BoundingVolumeIndex, const M: bool>(
     tree: &T,
     queries: &PointSet,
     mode: WaveMode,
@@ -629,7 +632,7 @@ fn wave_execute<T: GpuIndex, const M: bool>(
 /// [`QueryBatchResult`] (plus the [`WaveReport`]) exactly like the per-query
 /// batch runners — same launch aggregation, same telemetry shape (kernel
 /// label `"wave"`), plus the wave counters.
-fn run_wave<T: GpuIndex>(
+fn run_wave<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     mode: WaveMode,
@@ -646,7 +649,7 @@ fn run_wave<T: GpuIndex>(
     }
 }
 
-fn run_wave_with<T: GpuIndex, const M: bool>(
+fn run_wave_with<T: BoundingVolumeIndex, const M: bool>(
     tree: &T,
     queries: &PointSet,
     mode: WaveMode,
@@ -697,7 +700,7 @@ fn run_wave_with<T: GpuIndex, const M: bool>(
 /// kNN engines); counters reflect the amortized node-centric schedule.
 /// Honors [`KernelOptions::schedule`] for seeding/fusion order and
 /// [`KernelOptions::wave`] for buffer capacity (default capacity if unset).
-pub fn wave_knn_batch<T: GpuIndex>(
+pub fn wave_knn_batch<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     k: usize,
@@ -711,7 +714,7 @@ pub fn wave_knn_batch<T: GpuIndex>(
 
 /// [`wave_knn_batch`] with a precomputed execution order (the streaming
 /// pipeline schedules chunk N+1 while chunk N executes).
-pub(crate) fn wave_knn_batch_ordered<T: GpuIndex>(
+pub(crate) fn wave_knn_batch_ordered<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     k: usize,
@@ -726,7 +729,7 @@ pub(crate) fn wave_knn_batch_ordered<T: GpuIndex>(
 /// Fixed-radius range queries over a batch through the buffer-wave engine.
 /// Results are bit-identical to [`range_batch`](crate::range_batch): both
 /// produce the exact in-range set in canonical `(dist, id)` order.
-pub fn wave_range_batch<T: GpuIndex>(
+pub fn wave_range_batch<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     radius: f32,
@@ -739,7 +742,7 @@ pub fn wave_range_batch<T: GpuIndex>(
 }
 
 /// [`wave_range_batch`] with a precomputed execution order.
-pub(crate) fn wave_range_batch_ordered<T: GpuIndex>(
+pub(crate) fn wave_range_batch_ordered<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     radius: f32,
@@ -845,7 +848,7 @@ mod tests {
     fn empty_batch_is_a_typed_error() {
         let (_, tree, _) = setup();
         let cfg = DeviceConfig::k40();
-        let empty = PointSet::new(tree.dims());
+        let empty = PointSet::new(tree.dims);
         assert!(matches!(
             wave_knn_batch(&tree, &empty, 4, &cfg, &KernelOptions::default()),
             Err(EngineError::EmptyBatch)

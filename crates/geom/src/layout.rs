@@ -74,6 +74,13 @@ impl Clone for AlignedF32 {
     }
 }
 
+impl Default for AlignedF32 {
+    /// An empty payload.
+    fn default() -> Self {
+        Self::from_slice(&[])
+    }
+}
+
 impl PartialEq for AlignedF32 {
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()

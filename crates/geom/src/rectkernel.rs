@@ -19,8 +19,9 @@
 
 /// One rectangle evaluation: MINDIST always, MAXDIST when `with_max`, center
 /// (anchor) distance when `with_anchor`. The three accumulator chains are
-/// independent and run in the same per-dimension order as the historical
-/// `child_min_max` / `child_anchor_dist` loops, so fusing them is bit-identical.
+/// independent and run in the same per-dimension order as the per-child
+/// `child_min_max` loop (and its center-distance counterpart), so fusing them
+/// is bit-identical.
 #[inline(always)]
 fn rect_eval_impl(
     lo: &[f32],

@@ -14,9 +14,11 @@
 //! ```
 //!
 //! Ids are `u32` bit patterns stored in the `f32` pool; every block starts on
-//! a 64-byte boundary. Like the sphere arena, this is a pure derived cache:
-//! every lookup revalidates against the live first-child/count values and
-//! returns `None` on mismatch, sending callers to the gather fallback.
+//! a 64-byte boundary. Like the sphere arena, this is the one node
+//! representation the kernels read: every lookup revalidates against the
+//! live first-child/count values and returns `None` on mismatch, which the
+//! kernels report as a typed corrupt-node error. A default (empty) arena has
+//! no blocks.
 
 use psb_geom::layout::{align_up_f32, AlignedF32};
 
@@ -26,7 +28,7 @@ use crate::tree::RsTree;
 const NO_BLOCK: u32 = u32::MAX;
 
 /// A packed, 64-byte-aligned, per-node SoA arena over an [`RsTree`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RectArena {
     node_off: Vec<u32>,
     node_cnt: Vec<u32>,
@@ -220,7 +222,7 @@ mod tests {
     #[test]
     fn blocks_mirror_the_tree_exactly() {
         let t = tree();
-        let arena = t.arena.as_ref().expect("construction attaches an arena");
+        let arena = &t.arena;
         for n in 0..t.num_nodes() as u32 {
             if t.is_leaf(n) {
                 let run = t.leaf_points(n);
@@ -248,13 +250,14 @@ mod tests {
     #[test]
     fn blocks_are_64_byte_aligned_and_stale_lookups_fail() {
         let t = tree();
-        let arena = t.arena.as_ref().expect("arena");
+        let arena = &t.arena;
         let kids = t.children(t.root);
         let blk = arena.internal(t.root, kids.start, kids.len()).expect("block");
         assert_eq!(blk.lo.as_ptr() as usize % ALIGN_BYTES, 0);
         assert!(arena.internal(t.root, kids.start, kids.len() + 1).is_none());
         assert!(arena.leaf(t.root, kids.start, kids.len()).is_none());
         assert!(arena.internal(u32::MAX - 1, 0, 1).is_none());
+        assert!(RectArena::default().internal(t.root, kids.start, kids.len()).is_none());
         assert!(arena.pool_bytes() > 0);
         assert_eq!(arena.dims(), t.dims);
     }

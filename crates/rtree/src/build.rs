@@ -10,6 +10,7 @@ use psb_geom::hilbert::hilbert_key;
 use psb_geom::{HilbertKey, PointSet, Rect};
 use rayon::prelude::*;
 
+use crate::arena::RectArena;
 use crate::tree::{RsTree, NOT_A_LEAF, NO_PARENT};
 
 /// Bulk-load strategy.
@@ -185,7 +186,7 @@ fn materialize(points: &PointSet, degree: usize, order: &[u32]) -> RsTree {
         leaf_node_of,
         root: 0,
         rope: Vec::new(),
-        arena: None,
+        arena: RectArena::default(),
     };
     tree.rebuild_arena();
     tree

@@ -8,8 +8,8 @@
 //! SS-tree (contiguous children, dense left-to-right leaf ids, parent links,
 //! subtree leaf ranges), so every GPU kernel in `psb-core` — PSB,
 //! branch-and-bound, restart, range — runs over it unchanged via the
-//! [`GpuIndex`] trait. Comparing the two under identical traversals isolates
-//! the node-shape effect the paper asserts.
+//! [`BoundingVolumeIndex`] trait. Comparing the two under identical
+//! traversals isolates the node-shape effect the paper asserts.
 //!
 //! Construction is bulk loading ("Packed R-tree", Kamel & Faloutsos, the
 //! paper's [20]): either Hilbert-curve packing or Sort-Tile-Recursive (STR).
@@ -22,13 +22,34 @@ pub use arena::RectArena;
 pub use build::{build_rtree, RtreeBuildMethod};
 pub use tree::RsTree;
 
-use psb_core::{gather_child_sweep, gather_leaf_sweep, GpuIndex, SweepScratch};
+use psb_core::{BoundingVolumeIndex, GpuIndex, KernelError, SweepScratch};
 use psb_geom::{DistKernel, RectKernel, RectRowsOut};
 
 impl GpuIndex for RsTree {
     fn dims(&self) -> usize {
         self.dims
     }
+    fn num_nodes(&self) -> usize {
+        self.parent.len()
+    }
+    fn num_points(&self) -> usize {
+        self.points.len()
+    }
+    fn point(&self, pos: usize) -> &[f32] {
+        self.points.point(pos)
+    }
+    fn point_id(&self, pos: usize) -> u32 {
+        self.point_ids[pos]
+    }
+    fn index_bytes(&self) -> u64 {
+        self.total_bytes()
+    }
+    fn point_entry_bytes(&self) -> u64 {
+        self.dims as u64 * 4 + 4
+    }
+}
+
+impl BoundingVolumeIndex for RsTree {
     fn degree(&self) -> usize {
         self.degree
     }
@@ -47,12 +68,6 @@ impl GpuIndex for RsTree {
     fn leaf_points(&self, n: u32) -> std::ops::Range<usize> {
         RsTree::leaf_points(self, n)
     }
-    fn point(&self, pos: usize) -> &[f32] {
-        self.points.point(pos)
-    }
-    fn point_id(&self, pos: usize) -> u32 {
-        self.point_ids[pos]
-    }
     fn leaf_id(&self, n: u32) -> u32 {
         self.leaf_id[n as usize]
     }
@@ -62,24 +77,14 @@ impl GpuIndex for RsTree {
     fn num_leaves(&self) -> usize {
         self.leaf_node_of.len()
     }
-    fn num_nodes(&self) -> usize {
-        self.parent.len()
-    }
-    fn num_points(&self) -> usize {
-        self.points.len()
-    }
     fn subtree_max_leaf(&self, n: u32) -> u32 {
         self.subtree_max_leaf[n as usize]
     }
-    fn rope(&self, n: u32) -> u32 {
-        assert!(!self.rope.is_empty(), "rope links missing: call rebuild_arena() first");
-        self.rope[n as usize]
+    fn rope(&self, n: u32) -> Option<u32> {
+        self.rope.get(n as usize).copied()
     }
     fn node_depth(&self, n: u32) -> u32 {
         (self.level[self.root as usize] - self.level[n as usize]) as u32
-    }
-    fn index_bytes(&self) -> u64 {
-        self.total_bytes()
     }
     fn internal_node_bytes(&self, n: u32) -> u64 {
         RsTree::internal_node_bytes(self, n)
@@ -91,12 +96,19 @@ impl GpuIndex for RsTree {
         // Two corners per rectangle: twice the sphere's center payload.
         2 * self.dims as u64 * 4 + 12
     }
-    fn point_entry_bytes(&self) -> u64 {
-        self.dims as u64 * 4 + 4
-    }
 
-    fn child_min_max(&self, c: u32, q: &[f32], with_max: bool) -> (f32, f32) {
-        let (lo, hi) = self.mbr(c);
+    fn child_min_max(&self, c: u32, q: &[f32], with_max: bool) -> Result<(f32, f32), KernelError> {
+        let stale = || KernelError::stale_arena(c);
+        let p = *self.parent.get(c as usize).ok_or_else(stale)?;
+        let first = *self.first_child.get(p as usize).ok_or_else(stale)?;
+        let cnt = *self.child_count.get(p as usize).ok_or_else(stale)?;
+        let blk = self.arena.internal(p, first, cnt as usize).ok_or_else(stale)?;
+        let i = c.wrapping_sub(first) as usize;
+        if i >= blk.count() {
+            return Err(stale());
+        }
+        let rows = i * self.dims..(i + 1) * self.dims;
+        let (lo, hi) = (&blk.lo[rows.clone()], &blk.hi[rows]);
         let mut min_acc = 0f32;
         let mut max_acc = 0f32;
         for ((&l, &h), &x) in lo.iter().zip(hi).zip(q) {
@@ -113,7 +125,7 @@ impl GpuIndex for RsTree {
                 max_acc += far * far;
             }
         }
-        (min_acc.sqrt(), max_acc.sqrt())
+        Ok((min_acc.sqrt(), max_acc.sqrt()))
     }
 
     fn child_eval_cost(&self, with_max: bool) -> u64 {
@@ -128,16 +140,6 @@ impl GpuIndex for RsTree {
         }
     }
 
-    fn child_anchor_dist(&self, c: u32, q: &[f32]) -> f32 {
-        let (lo, hi) = self.mbr(c);
-        let mut acc = 0f32;
-        for ((&l, &h), &x) in lo.iter().zip(hi).zip(q) {
-            let center = 0.5 * (l + h);
-            acc += (x - center) * (x - center);
-        }
-        acc.sqrt()
-    }
-
     fn child_sweep(
         &self,
         n: u32,
@@ -146,15 +148,14 @@ impl GpuIndex for RsTree {
         with_max: bool,
         with_anchor: bool,
         out: &mut SweepScratch,
-    ) {
+    ) -> Result<(), KernelError> {
         let kids = RsTree::children(self, n);
-        let blk = self.arena.as_ref().and_then(|a| a.internal(n, kids.start, kids.len()));
-        let Some(blk) = blk else {
-            gather_child_sweep(self, n, q, with_max, with_anchor, out);
-            return;
-        };
+        let blk = self
+            .arena
+            .internal(n, kids.start, kids.len())
+            .ok_or_else(|| KernelError::stale_arena(n))?;
         // Batched one-query-vs-many-rows evaluation over the arena's SoA
-        // corner rows; bit-identical to the per-row eval it replaces.
+        // corner rows; bit-identical to `child_min_max` per row.
         let rk = RectKernel::for_dims(self.dims);
         rk.eval_rows(
             q,
@@ -168,6 +169,7 @@ impl GpuIndex for RsTree {
                 anchor_d: &mut out.anchor_d,
             },
         );
+        Ok(())
     }
 
     fn leaf_sweep(
@@ -177,18 +179,18 @@ impl GpuIndex for RsTree {
         dk: &DistKernel,
         tmp: &mut Vec<f32>,
         out: &mut Vec<(f32, u32)>,
-    ) {
+    ) -> Result<(), KernelError> {
         let run = RsTree::leaf_points(self, n);
-        let blk = self.arena.as_ref().and_then(|a| a.leaf(n, run.start as u32, run.len()));
-        let Some(blk) = blk else {
-            gather_leaf_sweep(self, n, q, out);
-            return;
-        };
+        let blk = self
+            .arena
+            .leaf(n, run.start as u32, run.len())
+            .ok_or_else(|| KernelError::stale_arena(n))?;
         tmp.clear();
         dk.dist_rows(q, blk.coords, tmp);
         for (i, &d) in tmp.iter().enumerate() {
             out.push((d, blk.id(i)));
         }
+        Ok(())
     }
 }
 
@@ -203,7 +205,10 @@ mod tests {
             ClusteredSpec { clusters: 2, points_per_cluster: 100, dims: 16, sigma: 30.0, seed: 81 }
                 .generate();
         let t = build_rtree(&ps, 16, &RtreeBuildMethod::Hilbert);
-        assert!(GpuIndex::child_eval_cost(&t, true) > GpuIndex::child_eval_cost(&t, false));
+        assert!(
+            BoundingVolumeIndex::child_eval_cost(&t, true)
+                > BoundingVolumeIndex::child_eval_cost(&t, false)
+        );
     }
 
     #[test]
@@ -214,7 +219,7 @@ mod tests {
         let t = build_rtree(&ps, 16, &RtreeBuildMethod::Str);
         let q = vec![100.0f32; 4];
         for c in RsTree::children(&t, t.root) {
-            let (lo, hi) = GpuIndex::child_min_max(&t, c, &q, true);
+            let (lo, hi) = BoundingVolumeIndex::child_min_max(&t, c, &q, true).expect("fresh");
             assert!(lo <= hi);
             // Every point in the subtree obeys the bracket.
             let mut stack = vec![c];

@@ -50,10 +50,11 @@ pub struct RsTree {
     /// `psb_sstree::SsTree::rope`). Derived by [`RsTree::rebuild_arena`];
     /// empty until then.
     pub rope: Vec<u32>,
-    /// Packed per-node device arena (see [`crate::arena`]): a derived cache,
-    /// rebuilt after construction and stripped (`None`) to benchmark the
-    /// legacy gather layout.
-    pub arena: Option<RectArena>,
+    /// Packed per-node device arena (see [`crate::arena`]): the node
+    /// representation every query kernel reads, packed from the arrays above
+    /// by [`RsTree::rebuild_arena`]. Empty until then; a lookup that does not
+    /// match the live arrays is a typed kernel error.
+    pub arena: RectArena,
 }
 
 impl RsTree {
@@ -66,9 +67,8 @@ impl RsTree {
     /// Rebuild the packed device arena from the current node arrays. Also
     /// rederives the rope links, so every queryable tree carries them.
     pub fn rebuild_arena(&mut self) {
-        self.arena = None;
         self.rebuild_ropes();
-        self.arena = Some(RectArena::build(self));
+        self.arena = RectArena::build(self);
     }
 
     /// Recompute the [`RsTree::rope`] escape links (same rule as the
@@ -91,12 +91,6 @@ impl RsTree {
                 stack.push(c);
             }
         }
-    }
-
-    /// Drop the packed arena, forcing sweeps onto the legacy gather path.
-    /// Rope links stay: they are structure, not a geometry cache.
-    pub fn strip_arena(&mut self) {
-        self.arena = None;
     }
 
     /// Total index size in bytes (sum over nodes; mirror of

@@ -21,7 +21,7 @@
 //! deadline — and under it every batch is **bit-identical** to the bare
 //! [`ShardRouter`], faults or not. Pressure is always opt-in.
 
-use psb_core::{EngineError, GpuIndex, KernelOptions, QueryOutcome};
+use psb_core::{BoundingVolumeIndex, EngineError, KernelOptions, QueryOutcome};
 use psb_geom::PointSet;
 use psb_gpu::{launch_blocks, KernelStats, NoopSink};
 use psb_metrics::MetricsHandle;
@@ -199,7 +199,7 @@ pub struct ResilientRouter<T> {
     metrics: MetricsHandle,
 }
 
-impl<T: GpuIndex> ResilientRouter<T> {
+impl<T: BoundingVolumeIndex> ResilientRouter<T> {
     /// Wraps `router` under `cfg`. The wrapped router's shards each get one
     /// breaker.
     pub fn new(router: ShardRouter<T>, cfg: ResilienceConfig) -> Self {

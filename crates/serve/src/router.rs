@@ -5,8 +5,8 @@ use crate::deadline::{DeadlineBudget, DeadlineClock};
 use psb_core::knnlist::GpuKnnList;
 use psb_core::shard::{partition, shard_sphere, ShardPolicy};
 use psb_core::{
-    brute_index_query, dist_cost, psb_try_query, EngineError, GpuIndex, KernelError, KernelOptions,
-    Metering, QueryOutcome,
+    brute_index_query, dist_cost, psb_try_query, BoundingVolumeIndex, EngineError, KernelError,
+    KernelOptions, Metering, QueryOutcome,
 };
 use psb_geom::{PointSet, RitterMode, Sphere};
 use psb_gpu::{
@@ -186,7 +186,7 @@ pub struct ShardRouter<T> {
     metrics: MetricsHandle,
 }
 
-impl<T: GpuIndex> ShardRouter<T> {
+impl<T: BoundingVolumeIndex> ShardRouter<T> {
     /// Partitions `points` per `cfg`, builds one index per shard with
     /// `build_index` (over the gathered per-shard [`PointSet`], whose local
     /// position `i` is global position `assignments[s][i]`), computes each

@@ -1,9 +1,10 @@
 //! The packed per-node device arena: the layout `internal_node_bytes` claims,
 //! made real on the host.
 //!
-//! The flattened [`SsTree`](crate::SsTree) stores node geometry node-major, so
-//! evaluating the children of node `n` *gathers*: one scattered `center(c)`
-//! slice per child. The simulated GPU already meters the fetch as one linear
+//! The flattened [`SsTree`](crate::SsTree) stores node geometry node-major
+//! (the arrays construction, validation and persistence work on), where
+//! evaluating the children of node `n` would *gather* one scattered
+//! `center(c)` slice per child. The simulated GPU already meters the fetch as one linear
 //! SoA block (§V-A of the paper: "we store the bounding spheres of child nodes
 //! as the structure of array (SOA)"); this module builds that block for real so
 //! host sweeps stream one contiguous, 64-byte-aligned run per node.
@@ -24,12 +25,13 @@
 //! (`f32::from_bits` / `to_bits` round-trip losslessly); every block starts on
 //! a 64-byte boundary inside one [`AlignedF32`] pool.
 //!
-//! The arena is a **pure cache**: it is rebuilt from the tree after every
-//! construction or load, never persisted, and never trusted blindly. Every
-//! lookup takes the *live* first-child/count values and returns `None` on any
-//! mismatch with the build-time snapshot (or on a kind change), so kernels
-//! fall back to the bounds-checked gather path when the tree has been mutated
-//! under the arena — the corruption suite drives exactly that.
+//! The arena is the **one node representation** the query kernels read: it
+//! is packed from the tree after every construction or load, never
+//! persisted, and never trusted blindly. Every lookup takes the *live*
+//! first-child/count values and returns `None` on any mismatch with the
+//! build-time snapshot (or on a kind change); the kernels report that as a
+//! typed corrupt-node error, since there is no second read path to fall back
+//! on. A default (empty) arena has no blocks, so every lookup misses.
 
 use psb_geom::layout::{align_up_f32, AlignedF32};
 
@@ -39,7 +41,7 @@ use crate::tree::SsTree;
 const NO_BLOCK: u32 = u32::MAX;
 
 /// A packed, 64-byte-aligned, per-node SoA arena over an [`SsTree`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SphereArena {
     /// Per-node block offset into the pool (f32 index), [`NO_BLOCK`] if absent.
     node_off: Vec<u32>,
@@ -198,8 +200,7 @@ impl SphereArena {
     }
 
     /// The packed block of internal node `n`, or `None` when the live tree no
-    /// longer matches the build-time snapshot (callers then fall back to the
-    /// bounds-checked gather path).
+    /// longer matches the build-time snapshot.
     #[inline]
     pub fn internal(&self, n: u32, live_first: u32, live_cnt: usize) -> Option<InternalBlock<'_>> {
         let off = self.check(n, false, live_first, live_cnt)?;
@@ -242,7 +243,7 @@ mod tests {
     #[test]
     fn blocks_mirror_the_tree_exactly() {
         let t = tree();
-        let arena = t.arena.as_ref().expect("construction attaches an arena");
+        let arena = &t.arena;
         for n in 0..t.num_nodes() as u32 {
             if t.is_leaf(n) {
                 let run = t.leaf_points(n);
@@ -269,7 +270,7 @@ mod tests {
     #[test]
     fn every_block_is_64_byte_aligned() {
         let t = tree();
-        let arena = t.arena.as_ref().expect("arena");
+        let arena = &t.arena;
         for n in 0..t.num_nodes() as u32 {
             let ptr = if t.is_leaf(n) {
                 let run = t.leaf_points(n);
@@ -284,10 +285,12 @@ mod tests {
 
     #[test]
     fn stale_lookups_return_none() {
-        let mut t = tree();
+        let t = tree();
         let root = t.root;
         let kids = t.children(root);
-        let arena = t.arena.take().expect("arena");
+        let arena = &t.arena;
+        // An unpacked (default) arena holds no blocks at all.
+        assert!(SphereArena::default().internal(root, kids.start, kids.len()).is_none());
         // Kind mismatch: asking for the root as a leaf.
         assert!(arena.leaf(root, kids.start, kids.len()).is_none());
         // Count mismatch (a corrupted child_count).
@@ -303,7 +306,7 @@ mod tests {
     #[test]
     fn clone_keeps_blocks_identical() {
         let t = tree();
-        let a = t.arena.as_ref().expect("arena");
+        let a = &t.arena;
         let b = a.clone();
         let kids = t.children(t.root);
         let x = a.internal(t.root, kids.start, kids.len()).expect("block");

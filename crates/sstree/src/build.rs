@@ -24,6 +24,7 @@ use psb_geom::{
 };
 use rayon::prelude::*;
 
+use crate::arena::SphereArena;
 use crate::tree::{SsTree, NOT_A_LEAF, NO_PARENT};
 
 /// Bottom-up construction method.
@@ -275,7 +276,7 @@ pub(crate) fn materialize(points: &PointSet, degree: usize, levels: Vec<Level>) 
         leaf_node_of,
         root: 0,
         rope: Vec::new(),
-        arena: None,
+        arena: SphereArena::default(),
     };
     // Every construction path (bottom-up, top-down, dynamic rebuild) funnels
     // through here: run the structural verifier so a construction bug can

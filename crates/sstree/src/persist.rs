@@ -13,6 +13,7 @@ use std::path::Path;
 
 use psb_geom::PointSet;
 
+use crate::arena::SphereArena;
 use crate::error::StructuralError;
 use crate::tree::SsTree;
 
@@ -204,11 +205,11 @@ pub fn load(path: &Path) -> Result<SsTree, LoadError> {
         leaf_node_of,
         root,
         rope: Vec::new(),
-        arena: None,
+        arena: SphereArena::default(),
     };
     tree.validate()?;
-    // The arena is a derived cache, never persisted: rebuild it from the
-    // freshly validated arrays.
+    // The arena is packed from the arrays, never persisted: rebuild it from
+    // the freshly validated arrays.
     tree.rebuild_arena();
     Ok(tree)
 }

@@ -67,10 +67,12 @@ pub struct SsTree {
     /// through parent links. Derived alongside the arena by
     /// [`SsTree::rebuild_arena`]; empty until then.
     pub rope: Vec<u32>,
-    /// Packed per-node device arena (see [`crate::arena`]): a derived cache of
-    /// the node geometry above, rebuilt after construction/load and stripped
-    /// (`None`) to benchmark the legacy gather layout.
-    pub arena: Option<SphereArena>,
+    /// Packed per-node device arena (see [`crate::arena`]): the node
+    /// representation every query kernel reads, packed from the arrays above
+    /// by [`SsTree::rebuild_arena`] after construction and load. Empty until
+    /// then; a lookup that does not match the live arrays is a typed kernel
+    /// error, never a fallback to them.
+    pub arena: SphereArena,
 }
 
 impl SsTree {
@@ -124,9 +126,8 @@ impl SsTree {
     /// funnels through here, so the links can never go stale separately from
     /// the arena.
     pub fn rebuild_arena(&mut self) {
-        self.arena = None;
         self.rebuild_ropes();
-        self.arena = Some(SphereArena::build(self));
+        self.arena = SphereArena::build(self);
     }
 
     /// Recompute the [`SsTree::rope`] escape links from the parent/child
@@ -150,13 +151,6 @@ impl SsTree {
                 stack.push(c);
             }
         }
-    }
-
-    /// Drop the packed arena, forcing sweeps onto the legacy gather path
-    /// (the benchmark harness's `--legacy-layout` baseline). Rope links stay:
-    /// they are structure, not a geometry cache.
-    pub fn strip_arena(&mut self) {
-        self.arena = None;
     }
 
     /// Children of internal node `n` as a node-id range.

@@ -79,10 +79,10 @@ pub mod prelude {
         hilbert_permutation, merge_stats, psb_batch, psb_batch_recovering, psb_batch_traced,
         range_batch, range_batch_recovering, restart_batch, restart_batch_recovering,
         stackfree_batch, stackfree_batch_recovering, tpss_batch, tpss_batch_scheduled,
-        tpss_batch_traced, tpss_try_batch, wave_knn_batch, wave_range_batch, DynamicSsTree,
-        EngineError, GpuIndex, ImplicitKdIndex, KernelError, KernelOptions, Metering, NodeLayout,
-        QueryBatchResult, QueryOutcome, QuerySchedule, QueryStream, ScheduleScratch,
-        SharedMemPolicy, StreamKernel, WaveConfig, WaveReport, NO_ROPE,
+        tpss_batch_traced, tpss_try_batch, wave_knn_batch, wave_range_batch, BoundingVolumeIndex,
+        DynamicSsTree, EngineError, GpuIndex, ImplicitKdIndex, KernelError, KernelOptions,
+        Metering, NodeLayout, QueryBatchResult, QueryOutcome, QuerySchedule, QueryStream,
+        ScheduleScratch, SharedMemPolicy, StreamKernel, WaveConfig, WaveReport, NO_ROPE,
     };
     pub use psb_data::{sample_queries, ClusteredSpec, NoaaSpec, SkewedQuerySpec, UniformSpec};
     pub use psb_geom::{

@@ -65,7 +65,7 @@ fn off(opts: &KernelOptions) -> KernelOptions {
 
 /// Runs the five option-driven kernels over one index with metering on and
 /// off, demanding identical results/outcomes and empty fast-path counters.
-fn check_metering_off<T: psb::core::GpuIndex>(
+fn check_metering_off<T: psb::core::BoundingVolumeIndex>(
     tree: &T,
     ps: &PointSet,
     queries: &PointSet,

@@ -62,8 +62,11 @@ fn rectangles_cost_more_compute_per_child_in_high_dims() {
     let st = build(&ps, 64, &BuildMethod::Hilbert);
     let rt = build_rtree(&ps, 64, &RtreeBuildMethod::Hilbert);
 
-    use psb::core::GpuIndex;
-    assert!(GpuIndex::child_eval_cost(&rt, true) > GpuIndex::child_eval_cost(&st, true));
+    use psb::core::BoundingVolumeIndex;
+    assert!(
+        BoundingVolumeIndex::child_eval_cost(&rt, true)
+            > BoundingVolumeIndex::child_eval_cost(&st, true)
+    );
 
     let s = psb_batch(&st, &queries, 32, &cfg, &opts).expect("batch");
     let r = psb_batch(&rt, &queries, 32, &cfg, &opts).expect("batch");

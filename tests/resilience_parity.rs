@@ -43,7 +43,7 @@ fn build_rs(ps: &PointSet) -> RsTree {
 /// Runs the same workload through the bare router and a transparent resilient
 /// front-end (both freshly built, same fault plans) and demands bit-identity
 /// on results, counters, and outcome classification.
-fn assert_transparent_parity<T: psb::core::GpuIndex>(
+fn assert_transparent_parity<T: psb::core::BoundingVolumeIndex>(
     ps: &PointSet,
     queries: &PointSet,
     sc: &ServeConfig,

@@ -20,7 +20,7 @@ use psb::prelude::*;
 use std::collections::BTreeSet;
 
 /// Preorder-successor oracle, recomputed from parent/children links only.
-fn rope_oracle<T: GpuIndex>(t: &T, n: u32) -> u32 {
+fn rope_oracle<T: BoundingVolumeIndex>(t: &T, n: u32) -> u32 {
     let mut c = n;
     while c != t.root() {
         let p = t.parent(c);
@@ -32,15 +32,19 @@ fn rope_oracle<T: GpuIndex>(t: &T, n: u32) -> u32 {
     NO_ROPE
 }
 
-fn assert_ropes_match_oracle<T: GpuIndex>(t: &T, label: &str) {
+fn assert_ropes_match_oracle<T: BoundingVolumeIndex>(t: &T, label: &str) {
     for n in 0..t.num_nodes() as u32 {
-        assert_eq!(t.rope(n), rope_oracle(t, n), "{label}: node {n} rope != preorder successor");
+        assert_eq!(
+            t.rope(n),
+            Some(rope_oracle(t, n)),
+            "{label}: node {n} rope != preorder successor"
+        );
     }
 }
 
 /// Node set the stacked range recursion expands: the root plus every child
 /// of an expanded node whose volume intersects the query ball.
-fn stacked_visited<T: GpuIndex>(t: &T, q: &[f32], r: f32) -> BTreeSet<u32> {
+fn stacked_visited<T: BoundingVolumeIndex>(t: &T, q: &[f32], r: f32) -> BTreeSet<u32> {
     let mut set = BTreeSet::new();
     let mut stack = vec![t.root()];
     set.insert(t.root());
@@ -49,7 +53,7 @@ fn stacked_visited<T: GpuIndex>(t: &T, q: &[f32], r: f32) -> BTreeSet<u32> {
             continue;
         }
         for c in t.children(n) {
-            if t.child_min_max(c, q, false).0 <= r {
+            if t.child_min_max(c, q, false).expect("fresh arena").0 <= r {
                 set.insert(c);
                 stack.push(c);
             }
@@ -60,16 +64,16 @@ fn stacked_visited<T: GpuIndex>(t: &T, q: &[f32], r: f32) -> BTreeSet<u32> {
 
 /// Node set a rope walk visits: follow first-child on a qualifying internal
 /// node, the rope everywhere else; only qualifying nodes count as visited.
-fn rope_visited<T: GpuIndex>(t: &T, q: &[f32], r: f32) -> BTreeSet<u32> {
+fn rope_visited<T: BoundingVolumeIndex>(t: &T, q: &[f32], r: f32) -> BTreeSet<u32> {
     let mut set = BTreeSet::new();
     let mut n = t.root();
     loop {
-        let qualifies = n == t.root() || t.child_min_max(n, q, false).0 <= r;
+        let qualifies = n == t.root() || t.child_min_max(n, q, false).expect("fresh arena").0 <= r;
         if qualifies {
             set.insert(n);
-            n = if t.is_leaf(n) { t.rope(n) } else { t.children(n).start };
+            n = if t.is_leaf(n) { t.rope(n).expect("rope link") } else { t.children(n).start };
         } else {
-            n = t.rope(n);
+            n = t.rope(n).expect("rope link");
         }
         if n == NO_ROPE {
             return set;
@@ -137,6 +141,40 @@ fn rope_mode_restart_is_bit_identical_to_stacked_on_both_families() {
         let a = restart_batch(&rt, &queries, k, &cfg, &stacked).expect("rtree stacked");
         let b = restart_batch(&rt, &queries, k, &cfg, &roped).expect("rtree roped");
         assert_eq!(a.neighbors, b.neighbors, "rtree k={k}: results differ");
+    }
+}
+
+#[test]
+fn missing_rope_links_are_a_typed_error_on_both_families() {
+    // The rope array is a pub field; a cleared or short one must reach the
+    // rope-mode kernels as a typed error (which the recovery ladder then
+    // answers exactly), never as a panic or a silently truncated walk.
+    let cfg = DeviceConfig::k40();
+    let roped = KernelOptions { rope: true, ..Default::default() };
+    let (ps, queries) = workload(4, 8401);
+    let q = queries.point(0);
+    let mut ss = build(&ps, 16, &BuildMethod::Hilbert);
+    let mut rt = build_rtree(&ps, 16, &RtreeBuildMethod::Hilbert);
+    let want = restart_batch(&ss, &queries, 8, &cfg, &roped).expect("intact ropes").neighbors;
+    for keep in [0usize, 1] {
+        ss.rope.truncate(keep);
+        rt.rope.truncate(keep);
+        let mut s = NoopSink;
+        for (what, r) in [
+            ("sstree/restart", restart_try_query(&ss, q, 8, &cfg, &roped, None, &mut s)),
+            ("sstree/range", range_try_query(&ss, q, 180.0, &cfg, &roped, None, &mut s)),
+            ("rtree/restart", restart_try_query(&rt, q, 8, &cfg, &roped, None, &mut s)),
+            ("rtree/range", range_try_query(&rt, q, 180.0, &cfg, &roped, None, &mut s)),
+        ] {
+            assert!(
+                matches!(r, Err(KernelError::CorruptNode { .. })),
+                "{what} with {keep} rope links: want a CorruptNode error"
+            );
+        }
+        let plan = FaultPlan::none();
+        let got = restart_batch_recovering(&ss, &queries, 8, &cfg, &roped, &plan).expect("batch");
+        assert_eq!(got.neighbors, want, "degraded answers must stay exact");
+        assert!(got.outcomes.iter().all(|o| matches!(o, QueryOutcome::Degraded { .. })));
     }
 }
 

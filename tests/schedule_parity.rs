@@ -72,7 +72,7 @@ fn scheduled(opts: &KernelOptions) -> KernelOptions {
 
 /// Runs all six kernels over one index under both schedules and asserts
 /// bit-identity on everything a caller can observe.
-fn check_schedules<T: psb_core::GpuIndex>(
+fn check_schedules<T: psb_core::BoundingVolumeIndex>(
     tree: &T,
     ps: &PointSet,
     queries: &PointSet,

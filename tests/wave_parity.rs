@@ -69,7 +69,7 @@ fn waved(opts: &KernelOptions, capacity: usize) -> KernelOptions {
 /// Runs the four wave-served kernels over one index, per-query vs wave, and
 /// asserts the exactness contract; then pins that brute force and TPSS
 /// ignore the option outright.
-fn check_wave<T: psb_core::GpuIndex>(
+fn check_wave<T: psb_core::BoundingVolumeIndex>(
     tree: &T,
     ps: &PointSet,
     queries: &PointSet,
