@@ -27,6 +27,9 @@ run_hardlint() {
         -D warnings -D clippy::unwrap_used -D clippy::expect_used
 }
 run_test()   { cargo test --workspace -q; }
+# Fault-injection suite: the recovery ladder under seeded plans, and a
+# stale-arena tree degrading to exact answers through psb_batch and
+# QueryStream with no plan at all (corrupt_tree_degrades_instead_of_panicking).
 run_faults() { cargo test -p psb --test fault_injection -q; }
 # Sharded serving layer: the router's own unit tests plus the bit-identity /
 # failover acceptance suite.
@@ -50,21 +53,20 @@ run_metrics() {
     cargo test -p psb-metrics -q
     cargo test -p psb --test metrics_parity -q
 }
-# Buffer-wave engine (DESIGN.md §16): the exactness/parity suite plus the
-# dedicated TPSS-divergence pin, then the bench --smoke run, whose wave gate
-# asserts the wave engine is at least as fast as the scheduled engine on the
-# 16-dim uniform 240-query batch and that its buffers actually amortize
-# fetches (mean fill > 1). The smoke binary exits nonzero on either.
+# Buffer-wave engine (DESIGN.md §16): the exactness/parity suite, then the
+# bench --smoke run, whose wave gate asserts the wave engine is at least as
+# fast as the scheduled engine on the 16-dim uniform 240-query batch and that
+# its buffers actually amortize fetches (mean fill > 1). The smoke binary
+# exits nonzero on either.
 run_wave() {
     cargo test -p psb --test wave_parity -q
-    cargo test -p psb --test tpss_divergence -q
     cargo run --release -p psb-bench --bin bench -- --smoke --out target/BENCH_smoke.json
 }
-# Fast path (DESIGN.md §17): the bit-identity/parity suite pinning that the
-# SIMD lanes and Metering::Off change nothing observable, the geom crate's own
-# evaluator identity tests, then the bench --smoke run, whose fast-path gate
-# asserts the unmetered run is at least as fast as the metered default on the
-# headline batch. Direction gate only — magnitudes are machine-dependent.
+# Fast path (DESIGN.md §17): the parity suite pinning that Metering::Off
+# changes nothing observable, the geom crate's own SIMD-vs-scalar evaluator
+# identity tests, then the bench --smoke run, whose fast-path gate asserts the
+# unmetered run is at least as fast as the metered default on the headline
+# batch. Direction gate only — magnitudes are machine-dependent.
 run_fastpath() {
     cargo test -p psb --test fastpath_parity -q
     cargo test -p psb-geom -q

@@ -43,15 +43,12 @@
 //! section against the committed baseline.
 //!
 //! Schema v7 adds a `fast_path` section: the headline batch timed under the
-//! three fast-path configurations — metered scalar lanes (the all-reference
-//! floor), the default (metered + SIMD lanes), and the full fast path
-//! (`Metering::Off` + SIMD) — with `combined_speedup` recording what the
-//! explicit SIMD evaluators plus the zero-accounting mode buy over the
-//! metered-scalar floor. All three run the identical tree, queries, and
-//! engine; results are bit-identical across them (`tests/fastpath_parity.rs`),
-//! so the section is pure wall-clock. The smoke gate asserts the fast path
-//! never falls behind the default, and `bench compare` gates the section
-//! against the committed baseline.
+//! default configuration (metered, SIMD distance evaluators) and the full
+//! fast path (`Metering::Off`). Both run the identical tree, queries, and
+//! engine; results are bit-identical across them
+//! (`tests/fastpath_parity.rs`), so the section is pure wall-clock. The smoke
+//! gate asserts the fast path never falls behind the default, and `bench
+//! compare` gates the section against the committed baseline.
 //!
 //! Schema v8 adds the third index family and its footprint: a per-workload
 //! `kdtree`/`stackfree` result row (the implicit left-balanced kd-tree under
@@ -81,7 +78,7 @@ use psb_core::kernels::restart::restart_query;
 use psb_core::kernels::stackfree::stackfree_query;
 use psb_core::kernels::{bnb::bnb_query, tpss::tpss_batch};
 use psb_core::{
-    psb_batch, wave_knn_batch, BoundingVolumeIndex, DistLanes, GpuIndex, KernelOptions, Metering,
+    psb_batch, wave_knn_batch, BoundingVolumeIndex, GpuIndex, KernelOptions, Metering,
     QuerySchedule, WaveConfig,
 };
 use psb_data::{sample_queries, ClusteredSpec, SkewedQuerySpec, UniformSpec};
@@ -485,27 +482,23 @@ fn wave_section(points: &PointSet, seed: u64) -> Wave {
     }
 }
 
-/// The fast-path section: the headline batch under the three fast-path
-/// configurations. `metered_scalar_qps` is the all-reference floor (simulated
-/// cost model + scalar distance loops), `simd_qps` is the default
-/// configuration (metered + SIMD lanes), `metering_off_qps` is the full fast
-/// path (`Metering::Off` + SIMD). Results are bit-identical across all three
-/// (`tests/fastpath_parity.rs`), so this section measures nothing but the
-/// cost of the accounting and the scalar loops.
+/// The fast-path section: the headline batch under the two metering modes.
+/// `simd_qps` is the default configuration (metered, SIMD distance
+/// evaluators), `metering_off_qps` the full fast path (`Metering::Off`).
+/// Results are bit-identical across both (`tests/fastpath_parity.rs`), so
+/// this section measures nothing but the cost of the accounting.
 struct FastPath {
     batch_size: usize,
-    metered_scalar_qps: f64,
     simd_qps: f64,
     metering_off_qps: f64,
 }
 
 fn fast_path_section(points: &PointSet, seed: u64) -> FastPath {
     let dev = DeviceConfig::k40();
-    // Same tree and queries as the throughput section: the combined speedup
-    // is relative to the same headline workload every other section measures.
+    // Same tree and queries as the throughput section: the fast path is
+    // measured on the same headline workload every other section measures.
     let queries = sample_queries(points, BATCH, 0.01, seed ^ q_marker() ^ 0xB47C);
     let tree = build(points, 16, &BuildMethod::Hilbert);
-    let scalar = KernelOptions { lanes: DistLanes::Scalar, ..Default::default() };
     let simd = KernelOptions::default();
     let off = KernelOptions { metering: Metering::Off, ..Default::default() };
     // The smoke gate compares these numbers directly, so they must be robust
@@ -517,11 +510,9 @@ fn fast_path_section(points: &PointSet, seed: u64) -> FastPath {
         assert!(r.is_ok(), "batch engine failed on a trusted tree");
         queries.len() as f64 / t.elapsed().as_secs_f64().max(1e-12)
     };
-    let mut scalar_runs = Vec::with_capacity(5);
     let mut simd_runs = Vec::with_capacity(5);
     let mut off_runs = Vec::with_capacity(5);
     for _ in 0..5 {
-        scalar_runs.push(one_pass(&scalar));
         simd_runs.push(one_pass(&simd));
         off_runs.push(one_pass(&off));
     }
@@ -531,7 +522,6 @@ fn fast_path_section(points: &PointSet, seed: u64) -> FastPath {
     };
     FastPath {
         batch_size: BATCH,
-        metered_scalar_qps: median(&mut scalar_runs),
         simd_qps: median(&mut simd_runs),
         metering_off_qps: median(&mut off_runs),
     }
@@ -786,18 +776,13 @@ fn emit_json(
     }
     if let Some(fp) = fast_path {
         // Every comparable field lives on a single line: `bench compare`
-        // re-extracts the section line-oriented, keyed on `metering_off_qps`
-        // and `combined_speedup` appearing together.
+        // re-extracts the section line-oriented, keyed on `simd_qps` and
+        // `metering_off_qps` appearing together.
         let _ = write!(
             s,
             ",\n  \"fast_path\": {{\n    \"workload\": \"uniform-16d/sstree/psb\", \
-             \"batch_size\": {}, \"metered_scalar_qps\": {:.3}, \"simd_qps\": {:.3}, \
-             \"metering_off_qps\": {:.3}, \"combined_speedup\": {:.4}\n  }}",
-            fp.batch_size,
-            fp.metered_scalar_qps,
-            fp.simd_qps,
-            fp.metering_off_qps,
-            fp.metering_off_qps / fp.metered_scalar_qps.max(1e-12),
+             \"batch_size\": {}, \"simd_qps\": {:.3}, \"metering_off_qps\": {:.3}\n  }}",
+            fp.batch_size, fp.simd_qps, fp.metering_off_qps,
         );
     }
     if let Some(m) = memory {
@@ -899,9 +884,8 @@ fn validate(json: &str) -> Result<(), String> {
         "\"vs_scheduled_qps\"",
         "\"mean_buffer_fill\"",
         "\"fast_path\"",
-        "\"metered_scalar_qps\"",
+        "\"simd_qps\"",
         "\"metering_off_qps\"",
-        "\"combined_speedup\"",
         "\"memory\"",
         "\"index_bytes\"",
         "\"points_bytes\"",
@@ -929,10 +913,8 @@ fn validate(json: &str) -> Result<(), String> {
         "vs_scheduled_qps",
         "wave_speedup",
         "mean_buffer_fill",
-        "metered_scalar_qps",
         "simd_qps",
         "metering_off_qps",
-        "combined_speedup",
         "index_bytes",
         "points_bytes",
     ] {
@@ -1039,13 +1021,12 @@ fn main() {
     }
     if let Some(fp) = &fast_path {
         eprintln!(
-            "fast path psb/sstree/uniform-16d ({} queries/batch): metered scalar {:.1} qps, \
-             simd {:.1} qps, metering off {:.1} qps ({:.2}x combined)",
+            "fast path psb/sstree/uniform-16d ({} queries/batch): simd {:.1} qps, \
+             metering off {:.1} qps ({:.2}x)",
             fp.batch_size,
-            fp.metered_scalar_qps,
             fp.simd_qps,
             fp.metering_off_qps,
-            fp.metering_off_qps / fp.metered_scalar_qps.max(1e-12),
+            fp.metering_off_qps / fp.simd_qps.max(1e-12),
         );
     }
     if let Some(m) = &memory {

@@ -14,9 +14,11 @@
 //!
 //! Tracing:
 //!
-//! * `--record trace.jsonl` additionally re-runs the PSB and branch-and-bound
-//!   engines with a recording [`psb_gpu::JsonlSink`] and writes every metering
-//!   event to the file (labels `psb` / `bnb`).
+//! * `--record trace.jsonl` additionally re-runs every PSB and
+//!   branch-and-bound query, in query order, with a recording
+//!   [`psb_gpu::JsonlSink`] and writes every metering event to the file
+//!   (labels `psb` / `bnb`). Each recorded query's counters must equal the
+//!   batch engine's for that query.
 //! * `--trace trace.jsonl` skips the simulation entirely and prints the
 //!   offline [`psb_bench::trace_report`] for a previously recorded file.
 //!
@@ -39,9 +41,8 @@ use std::io::{BufReader, BufWriter};
 
 use psb_bench::{load_trace, render_trace_report};
 use psb_core::{
-    bnb_batch, bnb_batch_traced, brute_batch, psb_batch, psb_batch_recovering, psb_batch_traced,
-    restart_batch, stackfree_batch, tpss_batch, EngineError, GpuIndex, KernelOptions,
-    QueryBatchResult,
+    bnb_batch, bnb_try_query, brute_batch, psb_batch, psb_try_query, restart_batch,
+    stackfree_batch, tpss_batch, EngineError, GpuIndex, KernelOptions, QueryBatchResult,
 };
 use psb_data::{sample_queries, ClusteredSpec};
 use psb_geom::PointSet;
@@ -325,10 +326,8 @@ fn main() {
     // CPU oracle.
     if let Some(seed) = a.inject {
         let plan = FaultPlan::bit_flips(seed, 1);
-        let faulty = run(
-            "fault-injected psb",
-            psb_batch_recovering(&tree, &queries, a.k, &cfg, &opts, &plan),
-        );
+        let faulted = KernelOptions { faults: plan.clone(), ..opts.clone() };
+        let faulty = run("fault-injected psb", psb_batch(&tree, &queries, a.k, &cfg, &faulted));
         let clean = faulty.outcomes.iter().filter(|o| o.is_clean()).count();
         println!(
             "\nfault injection (seed {seed}, {}‰ bit flips): {} clean, {} retried, {} degraded",
@@ -357,15 +356,21 @@ fn main() {
             eprintln!("--record {path}: {e}");
             std::process::exit(1);
         });
-        let writer = BufWriter::new(file);
-        let mut sink = JsonlSink::new("psb", writer);
-        let traced =
-            run("psb traced", psb_batch_traced(&tree, &queries, a.k, &cfg, &opts, &mut sink));
-        assert_eq!(traced.report.merged, psb.report.merged, "tracing must not change counters");
+        // Queries run one by one in query order, so the event stream is
+        // deterministic and grouped per query.
+        let mut sink = JsonlSink::new("psb", BufWriter::new(file));
+        for (i, q) in queries.iter().enumerate() {
+            let (_, stats) = psb_try_query(&tree, q, a.k, &cfg, &opts, None, &mut sink)
+                .expect("psb on a freshly built tree");
+            assert_eq!(stats, psb.per_block[i], "tracing must not change counters");
+        }
         let mut sink = JsonlSink::new("bnb", sink.into_inner().expect("flush trace"));
-        let traced =
-            run("bnb traced", bnb_batch_traced(&tree, &queries, a.k, &cfg, &opts, &mut sink));
-        assert_eq!(traced.report.merged, bnb.report.merged, "tracing must not change counters");
+        for (i, q) in queries.iter().enumerate() {
+            let (_, stats) = bnb_try_query(&tree, q, a.k, &cfg, &opts, None, &mut sink)
+                .expect("bnb on a freshly built tree");
+            assert_eq!(stats, bnb.per_block[i], "tracing must not change counters");
+        }
+        sink.into_inner().expect("flush trace");
         println!("\nrecorded psb+bnb trace to {path} (inspect with --trace {path})");
     }
 

@@ -32,13 +32,9 @@
 //!   gate compares **bytes per point** (robust to workload resizes): a family
 //!   whose per-point footprint grew by more than the threshold fails. A
 //!   family present in only one file is a note.
-//! * **fast-path section** (schema v7+) — the headline batch under the SIMD +
+//! * **fast-path section** (schema v7+) — the headline batch under the
 //!   `Metering::Off` fast path. `metering_off_qps` is gated like a row qps
-//!   (relative drop beyond threshold fails), and `combined_speedup` — the
-//!   unmetered-SIMD run over the metered-scalar floor, a same-process ratio —
-//!   must not fall below parity-minus-threshold (the fast path losing to the
-//!   all-reference configuration is the regression the section exists to
-//!   catch).
+//!   (relative drop beyond threshold fails).
 //!
 //! Parsing is deliberately line-oriented: the harness emits one result row per
 //! line, so a full JSON parser is unnecessary (and the workspace is offline —
@@ -91,15 +87,12 @@ pub struct WaveSection {
     pub mean_buffer_fill: f64,
 }
 
-/// The fast-path section (schema v7+): the headline batch under the three
-/// fast-path configurations. All wall clock, but `combined_speedup` is a
-/// ratio of two runs from the same process, so it compares across machines.
+/// The fast-path section (schema v7+): the headline batch under the default
+/// metered configuration and under `Metering::Off`. All wall clock.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FastPathSection {
-    pub metered_scalar_qps: f64,
     pub simd_qps: f64,
     pub metering_off_qps: f64,
-    pub combined_speedup: f64,
 }
 
 /// One memory-section row (schema v8+): an index family's footprint beside
@@ -190,19 +183,11 @@ pub fn parse_bench(json: &str) -> Result<BenchFile, String> {
             continue;
         }
         // The fast-path section is emitted on a single line; nothing else in
-        // the file carries `metering_off_qps` or `combined_speedup`.
-        if let (Some(metered_scalar), Some(simd), Some(off), Some(combined)) = (
-            num_field(line, "metered_scalar_qps"),
-            num_field(line, "simd_qps"),
-            num_field(line, "metering_off_qps"),
-            num_field(line, "combined_speedup"),
-        ) {
-            fast_path = Some(FastPathSection {
-                metered_scalar_qps: metered_scalar,
-                simd_qps: simd,
-                metering_off_qps: off,
-                combined_speedup: combined,
-            });
+        // the file carries `simd_qps` or `metering_off_qps`.
+        if let (Some(simd_qps), Some(metering_off_qps)) =
+            (num_field(line, "simd_qps"), num_field(line, "metering_off_qps"))
+        {
+            fast_path = Some(FastPathSection { simd_qps, metering_off_qps });
             continue;
         }
         // The wave section is emitted on a single line; nothing else in the
@@ -391,19 +376,6 @@ pub fn compare(old: &BenchFile, new: &BenchFile, threshold: f64) -> Vec<Regressi
                 ratio: 1.0 - nf.metering_off_qps / of.metering_off_qps,
             });
         }
-        // The section's reason to exist: SIMD lanes plus zero-accounting
-        // beating the metered-scalar floor. A combined speedup below
-        // parity-minus-threshold fails regardless of what the baseline
-        // measured.
-        if nf.combined_speedup < 1.0 - threshold {
-            out.push(Regression {
-                key: "fast_path".into(),
-                metric: "combined_speedup",
-                old: of.combined_speedup,
-                new: nf.combined_speedup,
-                ratio: 1.0 - nf.combined_speedup,
-            });
-        }
     }
     out
 }
@@ -547,9 +519,8 @@ mod tests {
         let body = json.trim_end().trim_end_matches('}');
         format!(
             "{body},\n  \"fast_path\": {{\n    \"workload\": \"uniform-16d/sstree/psb\", \
-             \"batch_size\": 240, \"metered_scalar_qps\": {:.3}, \"simd_qps\": {:.3}, \
-             \"metering_off_qps\": {:.3}, \"combined_speedup\": {:.4}\n  }}\n}}\n",
-            fp.metered_scalar_qps, fp.simd_qps, fp.metering_off_qps, fp.combined_speedup
+             \"batch_size\": 240, \"simd_qps\": {:.3}, \"metering_off_qps\": {:.3}\n  }}\n}}\n",
+            fp.simd_qps, fp.metering_off_qps
         )
     }
 
@@ -802,47 +773,30 @@ mod tests {
     #[test]
     fn fast_path_section_parses_and_gates() {
         let base = bench_json(&[("uniform", 16, "sstree", "psb", 1000.0, 50.0)]);
-        let of = FastPathSection {
-            metered_scalar_qps: 2000.0,
-            simd_qps: 2400.0,
-            metering_off_qps: 3000.0,
-            combined_speedup: 1.5,
-        };
+        let of = FastPathSection { simd_qps: 2400.0, metering_off_qps: 3000.0 };
         let old = parse_bench(&with_fast_path(&base, &of)).unwrap();
         assert_eq!(old.fast_path, Some(of), "fast-path section must parse back out");
 
         // Self-compare and within-threshold drift pass.
         assert!(compare(&old, &old, 0.0).is_empty());
-        let drift = FastPathSection { metering_off_qps: 2800.0, combined_speedup: 1.4, ..of };
+        let drift = FastPathSection { metering_off_qps: 2800.0, ..of };
         let ok = parse_bench(&with_fast_path(&base, &drift)).unwrap();
         assert!(compare(&old, &ok, 0.10).is_empty());
 
-        // The fast path collapsing below the metered-scalar floor fails on
-        // both the qps and speedup gates.
-        let slow = FastPathSection {
-            metered_scalar_qps: 2000.0,
-            simd_qps: 2400.0,
-            metering_off_qps: 1700.0,
-            combined_speedup: 0.85,
-        };
+        // The fast path losing more than the threshold fails the qps gate.
+        let slow = FastPathSection { simd_qps: 2400.0, metering_off_qps: 1700.0 };
         let new = parse_bench(&with_fast_path(&base, &slow)).unwrap();
         let regs = compare(&old, &new, 0.10);
         assert!(
             regs.iter().any(|r| r.metric == "metering_off_qps" && r.key == "fast_path"),
             "{regs:?}"
         );
-        assert!(regs.iter().any(|r| r.metric == "combined_speedup"), "{regs:?}");
     }
 
     #[test]
     fn fast_path_section_in_one_file_is_a_note_not_a_regression() {
         let base = bench_json(&[("uniform", 16, "sstree", "psb", 1000.0, 50.0)]);
-        let of = FastPathSection {
-            metered_scalar_qps: 2000.0,
-            simd_qps: 2400.0,
-            metering_off_qps: 3000.0,
-            combined_speedup: 1.5,
-        };
+        let of = FastPathSection { simd_qps: 2400.0, metering_off_qps: 3000.0 };
         let old = parse_bench(&base).unwrap();
         let new = parse_bench(&with_fast_path(&base, &of)).unwrap();
         let regs = compare(&old, &new, 0.10);

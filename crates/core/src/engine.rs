@@ -5,16 +5,23 @@
 //! are collected in query order (deterministic under any host thread count) and
 //! aggregated by the device cost model into the figures' metrics.
 //!
-//! The `*_batch_recovering` runners add the fault-tolerance ladder: each query
-//! is attempted under its own deterministic fault substream, retried once on a
-//! typed [`KernelError`], and finally degraded to an exact brute-force scan
-//! that follows no structural links. Results are exact under every rung; the
-//! rung taken per query is recorded in [`QueryBatchResult::outcomes`].
+//! Every engine runs through one runner, the recovery ladder: each query is
+//! attempted under its own deterministic substream of
+//! [`KernelOptions::faults`], retried once on a typed [`KernelError`], and
+//! finally degraded to an exact brute-force scan that follows no structural
+//! links. The default [`FaultPlan::none`](psb_gpu::FaultPlan::none) attaches
+//! no fault state, so a valid tree never leaves the first rung and a corrupt
+//! one degrades instead of panicking. Results are exact under every rung; the
+//! rung taken per query is recorded in [`QueryBatchResult::outcomes`]. The
+//! bounding-volume kernels share one dispatch keyed by [`BatchKernel`], which
+//! [`QueryStream`](crate::QueryStream) calls too.
+
+use std::borrow::Cow;
 
 use psb_geom::PointSet;
 use psb_gpu::{
-    launch_blocks_fused, DeviceConfig, FaultPlan, FaultState, KernelStats, LaunchReport, NoopSink,
-    Phase, PhaseBreakdown, TraceSink,
+    launch_blocks_fused, DeviceConfig, FaultState, KernelStats, LaunchReport, NoopSink, Phase,
+    PhaseBreakdown,
 };
 use psb_sstree::Neighbor;
 
@@ -22,18 +29,14 @@ use crate::error::{EngineError, KernelError, QueryOutcome};
 use crate::index::{BoundingVolumeIndex, ImplicitKdIndex};
 use rayon::prelude::*;
 
-use crate::kernels::tpss::tpss_batch;
-use crate::kernels::{
-    bnb::bnb_query, bnb::bnb_query_traced, range::range_query_gpu, restart::restart_query,
-};
 use crate::kernels::{
     bnb::bnb_try_query, brute::brute_index_query, brute::brute_index_range, brute::brute_query,
-    psb::psb_query, psb::psb_query_replay, psb::psb_query_traced, psb::psb_try_query,
-    psb::psb_try_query_replay, range::range_try_query, restart::restart_try_query,
-    stackfree::stackfree_query, stackfree::stackfree_try_query,
+    brute::brute_try_query, psb::psb_try_query, psb::psb_try_query_replay, range::range_try_query,
+    restart::restart_try_query, stackfree::stackfree_try_query,
 };
 use crate::options::KernelOptions;
 use crate::schedule::{hilbert_order, QuerySchedule};
+use crate::wave::{run_wave, WaveMode};
 
 /// Merge per-block counters into one (sums; peak shared memory is a max).
 pub fn merge_stats(blocks: &[KernelStats]) -> KernelStats {
@@ -49,13 +52,14 @@ pub fn merge_stats(blocks: &[KernelStats]) -> KernelStats {
 pub struct QueryBatchResult {
     /// Per-query neighbor lists, in query order.
     pub neighbors: Vec<Vec<Neighbor>>,
-    /// Per-query (per-block) raw counters, in query order. For a recovering
-    /// run this is the counters of the attempt that produced the result
-    /// (failed attempts' partial counters are discarded — they model work a
-    /// real device would have thrown away with the faulted launch).
+    /// Per-query (per-block) raw counters, in query order: the counters of
+    /// the attempt that produced the result (failed attempts' partial
+    /// counters are discarded — they model work a real device would have
+    /// thrown away with the faulted launch).
     pub per_block: Vec<KernelStats>,
     /// Which recovery rung produced each query's result, in query order.
-    /// All-[`QueryOutcome::Clean`] for the plain (non-recovering) runners.
+    /// All-[`QueryOutcome::Clean`] on a valid tree under
+    /// [`FaultPlan::none`](psb_gpu::FaultPlan::none).
     pub outcomes: Vec<QueryOutcome>,
     /// Aggregated metrics under the cost model.
     pub report: LaunchReport,
@@ -79,12 +83,19 @@ pub(crate) fn warps_of(cfg: &DeviceConfig, opts: &KernelOptions) -> u32 {
     opts.threads_per_block.div_ceil(cfg.warp_size)
 }
 
-/// The execution order the options ask for: `None` is submission order,
-/// `Some(perm)` executes `perm[j]` as the `j`-th query (Hilbert schedule).
-pub(crate) fn schedule_order(queries: &PointSet, opts: &KernelOptions) -> Option<Vec<u32>> {
-    match opts.schedule {
-        QuerySchedule::Submission => None,
-        QuerySchedule::Hilbert => Some(hilbert_order(queries)),
+/// The execution order of a batch: `order` when the caller precomputed one
+/// (the streaming pipeline schedules chunk N+1 while chunk N executes),
+/// otherwise what [`KernelOptions::schedule`] asks for. `None` is submission
+/// order; `Some(perm)` executes `perm[j]` as the `j`-th query.
+pub(crate) fn batch_order<'a>(
+    queries: &PointSet,
+    opts: &KernelOptions,
+    order: Option<&'a [u32]>,
+) -> Option<Cow<'a, [u32]>> {
+    match (order, opts.schedule) {
+        (Some(perm), _) => Some(Cow::Borrowed(perm)),
+        (None, QuerySchedule::Submission) => None,
+        (None, QuerySchedule::Hilbert) => Some(Cow::Owned(hilbert_order(queries))),
     }
 }
 
@@ -108,123 +119,31 @@ pub(crate) fn record_batch(
     report.record_into(m, label);
 }
 
-fn run_batch(
-    queries: &PointSet,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    label: &str,
-    f: impl Fn(&[f32]) -> (Vec<Neighbor>, KernelStats) + Sync,
-) -> Result<QueryBatchResult, EngineError> {
-    let order = schedule_order(queries, opts);
-    run_batch_ordered(queries, cfg, opts, order.as_deref(), label, f)
-}
+type LadderResult = (Vec<Neighbor>, KernelStats, QueryOutcome);
 
-/// [`run_batch`] with a precomputed execution order (the streaming pipeline
-/// schedules chunk N+1 while chunk N executes, so it hands the permutation
-/// in). Queries execute in scheduled order; neighbors and per-query counters
-/// are un-permuted back to submission order, so every per-query output is
-/// bit-identical to the submission-order engine. Only the launch aggregation
-/// sees the schedule (it groups scheduled neighbors when fusing blocks).
-pub(crate) fn run_batch_ordered(
+/// The one batch runner: the recovery ladder, applied per query on the rayon
+/// pool in the order [`batch_order`] resolves.
+///
+/// 1. **Attempt 0** under the query's fault substream
+///    (`opts.faults.state_for(i, 0)`).
+/// 2. **Retry** once under a fresh substream (`state_for(i, 1)`) — a real
+///    driver re-launching the failed block; transient upsets usually miss the
+///    second run.
+/// 3. **Degrade** to `fallback`, an exact scan that attaches no fault state
+///    and follows no structural links.
+///
+/// A no-op plan attaches no fault state at all, so attempt 0 is the plain
+/// kernel and only a corrupt tree advances the ladder. Queries execute in
+/// scheduled order; neighbors, counters and outcomes are un-permuted back to
+/// submission order, so every per-query output is bit-identical to the
+/// submission-order engine. Only the launch aggregation sees the schedule (it
+/// groups scheduled neighbors when fusing blocks).
+fn run_batch(
     queries: &PointSet,
     cfg: &DeviceConfig,
     opts: &KernelOptions,
     order: Option<&[u32]>,
     label: &str,
-    f: impl Fn(&[f32]) -> (Vec<Neighbor>, KernelStats) + Sync,
-) -> Result<QueryBatchResult, EngineError> {
-    if queries.is_empty() {
-        return Err(EngineError::EmptyBatch);
-    }
-    let m = &opts.metrics;
-    let started = m.is_attached().then(std::time::Instant::now);
-    let _batch_span = m.span("engine");
-    let _kernel_span = m.span(label);
-    let n = queries.len();
-    let (neighbors, per_block) = m.time("execute", || match order {
-        None => {
-            let results: Vec<(Vec<Neighbor>, KernelStats)> =
-                (0..n).into_par_iter().map(|i| f(queries.point(i))).collect();
-            results.into_iter().unzip()
-        }
-        Some(perm) => {
-            debug_assert_eq!(perm.len(), n);
-            let results: Vec<(u32, (Vec<Neighbor>, KernelStats))> =
-                perm.par_iter().map(|&i| (i, f(queries.point(i as usize)))).collect();
-            // Un-permute into submission order. `perm` is a permutation, so
-            // every slot is overwritten exactly once.
-            let mut neighbors = vec![Vec::new(); n];
-            let mut per_block = vec![KernelStats::default(); n];
-            for (i, (nb, st)) in results {
-                neighbors[i as usize] = nb;
-                per_block[i as usize] = st;
-            }
-            (neighbors, per_block)
-        }
-    });
-    let report = m.time("aggregate", || {
-        launch_blocks_fused(cfg, warps_of(cfg, opts), &per_block, opts.fuse, order)
-    });
-    record_batch(opts, label, started, &report);
-    let outcomes = vec![QueryOutcome::Clean; n];
-    Ok(QueryBatchResult { neighbors, per_block, outcomes, report })
-}
-
-/// Sequential batch runner for recording runs: queries execute in order so the
-/// event stream is deterministic and grouped per query.
-fn run_batch_traced(
-    queries: &PointSet,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    label: &str,
-    sink: &mut dyn TraceSink,
-    mut f: impl FnMut(&[f32], &mut dyn TraceSink) -> (Vec<Neighbor>, KernelStats),
-) -> Result<QueryBatchResult, EngineError> {
-    if queries.is_empty() {
-        return Err(EngineError::EmptyBatch);
-    }
-    let m = &opts.metrics;
-    let started = m.is_attached().then(std::time::Instant::now);
-    let _batch_span = m.span("engine");
-    let _kernel_span = m.span(label);
-    let mut neighbors = Vec::with_capacity(queries.len());
-    let mut per_block = Vec::with_capacity(queries.len());
-    {
-        let _exec_span = m.span("execute");
-        for i in 0..queries.len() {
-            let (n, s) = f(queries.point(i), sink);
-            neighbors.push(n);
-            per_block.push(s);
-        }
-    }
-    // Recording runs always execute (and fuse) in submission order so the
-    // event stream stays grouped per query — the schedule knob is ignored
-    // here, by design.
-    let report = m.time("aggregate", || {
-        launch_blocks_fused(cfg, warps_of(cfg, opts), &per_block, opts.fuse, None)
-    });
-    record_batch(opts, label, started, &report);
-    let outcomes = vec![QueryOutcome::Clean; neighbors.len()];
-    Ok(QueryBatchResult { neighbors, per_block, outcomes, report })
-}
-
-/// The recovery ladder, applied per query on the rayon pool:
-///
-/// 1. **Attempt 0** under the query's fault substream (`plan.state_for(i, 0)`).
-/// 2. **Retry** once under a fresh substream (`plan.state_for(i, 1)`) — a real
-///    driver re-launching the failed block; transient upsets usually miss the
-///    second run.
-/// 3. **Degrade** to `fallback`, an exact brute-force scan that attaches no
-///    fault state and follows no structural links, so it cannot fail.
-///
-/// A no-op plan attaches no fault state at all, so attempt 0 is bit-identical
-/// to the plain runner and the ladder never advances.
-fn run_batch_recovering(
-    queries: &PointSet,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    label: &str,
-    plan: &FaultPlan,
     attempt: impl Fn(&[f32], Option<FaultState>) -> Result<(Vec<Neighbor>, KernelStats), KernelError>
         + Sync,
     fallback: impl Fn(&[f32]) -> (Vec<Neighbor>, KernelStats) + Sync,
@@ -236,56 +155,42 @@ fn run_batch_recovering(
     let started = m.is_attached().then(std::time::Instant::now);
     let _batch_span = m.span("engine");
     let _kernel_span = m.span(label);
-    let n_queries = queries.len();
-    let order = schedule_order(queries, opts);
+    let n = queries.len();
+    let order = batch_order(queries, opts, order);
+    let plan = &opts.faults;
     // Fault substreams are keyed by *submission* index, so the ladder a query
     // climbs is independent of where the schedule places it.
-    let ladder = |i: usize| {
+    let ladder = |i: usize| -> LadderResult {
         let q = queries.point(i);
-        let faults = |attempt_no: u32| {
-            if plan.is_noop() {
-                None
-            } else {
-                Some(plan.state_for(i as u64, attempt_no))
-            }
-        };
+        let faults =
+            |attempt_no: u32| (!plan.is_noop()).then(|| plan.state_for(i as u64, attempt_no));
         match attempt(q, faults(0)) {
-            Ok((n, s)) => (n, s, QueryOutcome::Clean),
+            Ok((nb, st)) => (nb, st, QueryOutcome::Clean),
             Err(first) => match attempt(q, faults(1)) {
-                Ok((n, s)) => (n, s, QueryOutcome::Retried { first }),
+                Ok((nb, st)) => (nb, st, QueryOutcome::Retried { first }),
                 Err(retry) => {
-                    let (n, s) = fallback(q);
-                    (n, s, QueryOutcome::Degraded { first, retry })
+                    let (nb, st) = fallback(q);
+                    (nb, st, QueryOutcome::Degraded { first, retry })
                 }
             },
         }
     };
-    type LadderResult = (Vec<Neighbor>, KernelStats, QueryOutcome);
-    let mut neighbors = vec![Vec::new(); n_queries];
-    let mut per_block = vec![KernelStats::default(); n_queries];
-    let mut outcomes = vec![QueryOutcome::Clean; n_queries];
-    {
-        let _exec_span = m.span("execute");
-        match &order {
-            None => {
-                let results: Vec<LadderResult> =
-                    (0..n_queries).into_par_iter().map(ladder).collect();
-                for (i, (n, s, o)) in results.into_iter().enumerate() {
-                    neighbors[i] = n;
-                    per_block[i] = s;
-                    outcomes[i] = o;
-                }
-            }
-            Some(perm) => {
-                let results: Vec<(u32, LadderResult)> =
-                    perm.par_iter().map(|&i| (i, ladder(i as usize))).collect();
-                for (i, (n, s, o)) in results {
-                    neighbors[i as usize] = n;
-                    per_block[i as usize] = s;
-                    outcomes[i as usize] = o;
-                }
-            }
+    let results: Vec<(usize, LadderResult)> = m.time("execute", || match order.as_deref() {
+        None => (0..n).into_par_iter().map(|i| (i, ladder(i))).collect(),
+        Some(perm) => {
+            debug_assert_eq!(perm.len(), n);
+            perm.par_iter().map(|&i| (i as usize, ladder(i as usize))).collect()
         }
+    });
+    // Un-permute into submission order. The order is a permutation, so every
+    // slot is overwritten exactly once.
+    let mut neighbors = vec![Vec::new(); n];
+    let mut per_block = vec![KernelStats::default(); n];
+    let mut outcomes = vec![QueryOutcome::Clean; n];
+    for (i, (nb, st, o)) in results {
+        neighbors[i] = nb;
+        per_block[i] = st;
+        outcomes[i] = o;
     }
     let mut report = m.time("aggregate", || {
         launch_blocks_fused(cfg, warps_of(cfg, opts), &per_block, opts.fuse, order.as_deref())
@@ -298,14 +203,104 @@ fn run_batch_recovering(
     Ok(QueryBatchResult { neighbors, per_block, outcomes, report })
 }
 
+/// Which bounding-volume kernel a batch runs. One value keys the dispatch
+/// shared by [`psb_batch`], [`bnb_batch`], [`restart_batch`],
+/// [`range_batch`] and [`QueryStream`](crate::QueryStream).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum BatchKernel {
+    /// PSB kNN (Algorithm 1). Under [`QuerySchedule::Hilbert`] the batch runs
+    /// the throughput (sweep-replay) variant.
+    Psb { k: usize },
+    /// Branch-and-bound kNN.
+    Bnb { k: usize },
+    /// Scan-and-restart kNN (no parent links).
+    Restart { k: usize },
+    /// Fixed-radius range query.
+    Range { radius: f32 },
+}
+
+impl BatchKernel {
+    fn label(self) -> &'static str {
+        match self {
+            BatchKernel::Psb { .. } => "psb",
+            BatchKernel::Bnb { .. } => "bnb",
+            BatchKernel::Restart { .. } => "restart",
+            BatchKernel::Range { .. } => "range",
+        }
+    }
+}
+
+/// The bounding-volume dispatch, written once:
+///
+/// - with [`KernelOptions::wave`] set and a no-op fault plan, the whole batch
+///   runs through the buffer-wave engine (`wave.rs`): neighbors and outcomes
+///   are bit-identical, counters reflect the amortized coalesced-sweep
+///   schedule. A real plan disables waves (the wave engine serves the
+///   fault-free path only, like the sweep-replay memo);
+/// - otherwise [`run_batch`] climbs the ladder with the kernel's `try` form —
+///   PSB under [`QuerySchedule::Hilbert`] through the sweep-replay memo, which
+///   self-disables whenever a fault state is attached — and degrades to
+///   `brute_index_query` / `brute_index_range`.
+///
+/// `order` is a precomputed execution order, `None` to derive it from
+/// [`KernelOptions::schedule`].
+pub(crate) fn run_kernel<T: BoundingVolumeIndex>(
+    tree: &T,
+    queries: &PointSet,
+    kernel: BatchKernel,
+    cfg: &DeviceConfig,
+    opts: &KernelOptions,
+    order: Option<&[u32]>,
+) -> Result<QueryBatchResult, EngineError> {
+    if opts.wave.is_some() && opts.faults.is_noop() {
+        let mode = match kernel {
+            BatchKernel::Psb { k } | BatchKernel::Bnb { k } | BatchKernel::Restart { k } => {
+                WaveMode::Knn { k }
+            }
+            BatchKernel::Range { radius } => WaveMode::Range { radius },
+        };
+        return run_wave(tree, queries, mode, cfg, opts, order).map(|(r, _)| r);
+    }
+    let label = kernel.label();
+    run_batch(
+        queries,
+        cfg,
+        opts,
+        order,
+        label,
+        |q, faults| {
+            let sink = &mut NoopSink;
+            match kernel {
+                BatchKernel::Psb { k } => match opts.schedule {
+                    QuerySchedule::Submission => psb_try_query(tree, q, k, cfg, opts, faults, sink),
+                    QuerySchedule::Hilbert => {
+                        psb_try_query_replay(tree, q, k, cfg, opts, faults, sink)
+                    }
+                },
+                BatchKernel::Bnb { k } => bnb_try_query(tree, q, k, cfg, opts, faults, sink),
+                BatchKernel::Restart { k } => {
+                    restart_try_query(tree, q, k, cfg, opts, faults, sink)
+                }
+                BatchKernel::Range { radius } => {
+                    range_try_query(tree, q, radius, cfg, opts, faults, sink)
+                }
+            }
+        },
+        |q| match kernel {
+            BatchKernel::Range { radius } => brute_index_range(tree, q, radius, cfg, opts),
+            BatchKernel::Psb { k } | BatchKernel::Bnb { k } | BatchKernel::Restart { k } => {
+                brute_index_query(tree, q, k, cfg, opts)
+            }
+        },
+    )
+}
+
 /// PSB over a batch of queries. Under [`QuerySchedule::Hilbert`] the batch
 /// runs through the throughput kernel (sweep-replay memo) in Hilbert order —
 /// results, per-query counters, and the fuse-1 report are bit-identical to the
 /// submission-order engine (`tests/schedule_parity.rs`), only the wall-clock
-/// host cost drops.
-/// With [`KernelOptions::wave`] set, the batch instead runs through the
-/// buffer-wave node-centric engine (`wave.rs`): neighbors and outcomes are
-/// bit-identical, counters reflect the amortized coalesced-sweep schedule.
+/// host cost drops. [`KernelOptions::wave`] and [`KernelOptions::faults`]
+/// apply as [`BatchKernel`] describes.
 pub fn psb_batch<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
@@ -313,67 +308,7 @@ pub fn psb_batch<T: BoundingVolumeIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> Result<QueryBatchResult, EngineError> {
-    if opts.wave.is_some() {
-        return crate::wave::wave_knn_batch(tree, queries, k, cfg, opts).map(|(r, _)| r);
-    }
-    run_batch(queries, cfg, opts, "psb", |q| match opts.schedule {
-        QuerySchedule::Submission => psb_query(tree, q, k, cfg, opts),
-        QuerySchedule::Hilbert => psb_query_replay(tree, q, k, cfg, opts),
-    })
-}
-
-/// [`psb_batch`] with every metering call mirrored into `sink`; runs
-/// sequentially so the event stream is in query order. Results and counters
-/// are bit-identical to [`psb_batch`].
-pub fn psb_batch_traced<T: BoundingVolumeIndex>(
-    tree: &T,
-    queries: &PointSet,
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    sink: &mut dyn TraceSink,
-) -> Result<QueryBatchResult, EngineError> {
-    run_batch_traced(queries, cfg, opts, "psb", sink, |q, s| {
-        psb_query_traced(tree, q, k, cfg, opts, s)
-    })
-}
-
-/// [`psb_batch`] under a fault plan, with the retry/degrade recovery ladder.
-/// Results are exact under any plan; with [`FaultPlan::none`] this is
-/// bit-identical to [`psb_batch`] (results, counters, and report).
-pub fn psb_batch_recovering<T: BoundingVolumeIndex>(
-    tree: &T,
-    queries: &PointSet,
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    plan: &FaultPlan,
-) -> Result<QueryBatchResult, EngineError> {
-    // The wave engine serves the fault-free path only (like the sweep-replay
-    // memo): a no-op plan routes to the wave engine whole-batch, a real plan
-    // disables waves and climbs the per-query ladder below.
-    if opts.wave.is_some() && plan.is_noop() {
-        return psb_batch(tree, queries, k, cfg, opts);
-    }
-    run_batch_recovering(
-        queries,
-        cfg,
-        opts,
-        "psb",
-        plan,
-        |q, faults| match opts.schedule {
-            // The replay kernel self-disables whenever a fault state is
-            // attached, so the ladder's faulted attempts are bit-identical to
-            // the reference kernel's and only clean attempts take the memo.
-            QuerySchedule::Submission => {
-                psb_try_query(tree, q, k, cfg, opts, faults, &mut NoopSink)
-            }
-            QuerySchedule::Hilbert => {
-                psb_try_query_replay(tree, q, k, cfg, opts, faults, &mut NoopSink)
-            }
-        },
-        |q| brute_index_query(tree, q, k, cfg, opts),
-    )
+    run_kernel(tree, queries, BatchKernel::Psb { k }, cfg, opts, None)
 }
 
 /// Branch-and-bound over a batch of queries.
@@ -384,52 +319,12 @@ pub fn bnb_batch<T: BoundingVolumeIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> Result<QueryBatchResult, EngineError> {
-    if opts.wave.is_some() {
-        return crate::wave::wave_knn_batch(tree, queries, k, cfg, opts).map(|(r, _)| r);
-    }
-    run_batch(queries, cfg, opts, "bnb", |q| bnb_query(tree, q, k, cfg, opts))
-}
-
-/// [`bnb_batch`] with every metering call mirrored into `sink`; runs
-/// sequentially so the event stream is in query order. Results and counters
-/// are bit-identical to [`bnb_batch`].
-pub fn bnb_batch_traced<T: BoundingVolumeIndex>(
-    tree: &T,
-    queries: &PointSet,
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    sink: &mut dyn TraceSink,
-) -> Result<QueryBatchResult, EngineError> {
-    run_batch_traced(queries, cfg, opts, "bnb", sink, |q, s| {
-        bnb_query_traced(tree, q, k, cfg, opts, s)
-    })
-}
-
-/// [`bnb_batch`] under a fault plan, with the retry/degrade recovery ladder.
-pub fn bnb_batch_recovering<T: BoundingVolumeIndex>(
-    tree: &T,
-    queries: &PointSet,
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    plan: &FaultPlan,
-) -> Result<QueryBatchResult, EngineError> {
-    if opts.wave.is_some() && plan.is_noop() {
-        return bnb_batch(tree, queries, k, cfg, opts);
-    }
-    run_batch_recovering(
-        queries,
-        cfg,
-        opts,
-        "bnb",
-        plan,
-        |q, faults| bnb_try_query(tree, q, k, cfg, opts, faults, &mut NoopSink),
-        |q| brute_index_query(tree, q, k, cfg, opts),
-    )
+    run_kernel(tree, queries, BatchKernel::Bnb { k }, cfg, opts, None)
 }
 
 /// Fixed-radius range queries over a batch (PSB-style sweep, fixed bound).
+/// The degraded rung is an exact brute-force range scan over the flat point
+/// array.
 pub fn range_batch<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
@@ -437,35 +332,7 @@ pub fn range_batch<T: BoundingVolumeIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> Result<QueryBatchResult, EngineError> {
-    if opts.wave.is_some() {
-        return crate::wave::wave_range_batch(tree, queries, radius, cfg, opts).map(|(r, _)| r);
-    }
-    run_batch(queries, cfg, opts, "range", |q| range_query_gpu(tree, q, radius, cfg, opts))
-}
-
-/// [`range_batch`] under a fault plan, with the retry/degrade recovery ladder.
-/// The degraded rung is an exact brute-force range scan over the flat point
-/// array.
-pub fn range_batch_recovering<T: BoundingVolumeIndex>(
-    tree: &T,
-    queries: &PointSet,
-    radius: f32,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    plan: &FaultPlan,
-) -> Result<QueryBatchResult, EngineError> {
-    if opts.wave.is_some() && plan.is_noop() {
-        return range_batch(tree, queries, radius, cfg, opts);
-    }
-    run_batch_recovering(
-        queries,
-        cfg,
-        opts,
-        "range",
-        plan,
-        |q, faults| range_try_query(tree, q, radius, cfg, opts, faults, &mut NoopSink),
-        |q| brute_index_range(tree, q, radius, cfg, opts),
-    )
+    run_kernel(tree, queries, BatchKernel::Range { radius }, cfg, opts, None)
 }
 
 /// Scan-and-restart (no parent links) over a batch of queries.
@@ -476,34 +343,7 @@ pub fn restart_batch<T: BoundingVolumeIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> Result<QueryBatchResult, EngineError> {
-    if opts.wave.is_some() {
-        return crate::wave::wave_knn_batch(tree, queries, k, cfg, opts).map(|(r, _)| r);
-    }
-    run_batch(queries, cfg, opts, "restart", |q| restart_query(tree, q, k, cfg, opts))
-}
-
-/// [`restart_batch`] under a fault plan, with the retry/degrade recovery
-/// ladder.
-pub fn restart_batch_recovering<T: BoundingVolumeIndex>(
-    tree: &T,
-    queries: &PointSet,
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    plan: &FaultPlan,
-) -> Result<QueryBatchResult, EngineError> {
-    if opts.wave.is_some() && plan.is_noop() {
-        return restart_batch(tree, queries, k, cfg, opts);
-    }
-    run_batch_recovering(
-        queries,
-        cfg,
-        opts,
-        "restart",
-        plan,
-        |q, faults| restart_try_query(tree, q, k, cfg, opts, faults, &mut NoopSink),
-        |q| brute_index_query(tree, q, k, cfg, opts),
-    )
+    run_kernel(tree, queries, BatchKernel::Restart { k }, cfg, opts, None)
 }
 
 /// Stack-free kNN over a batch of queries (the implicit left-balanced kd-tree
@@ -513,7 +353,10 @@ pub fn restart_batch_recovering<T: BoundingVolumeIndex>(
 /// amortizes *node-block* fetches over query buffers, and the implicit tree
 /// has no node blocks to amortize (every node is one point entry), so there
 /// is no wave schedule to run. Everything else — Hilbert scheduling,
-/// metering modes, metrics — behaves like the other per-query engines.
+/// metering modes, metrics, the fault plan — behaves like the other
+/// per-query engines. The degraded rung is the same exact brute scan as
+/// every other engine's: it touches only the flat point array, which the
+/// implicit tree has by construction.
 pub fn stackfree_batch<T: ImplicitKdIndex>(
     tree: &T,
     queries: &PointSet,
@@ -521,64 +364,19 @@ pub fn stackfree_batch<T: ImplicitKdIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> Result<QueryBatchResult, EngineError> {
-    run_batch(queries, cfg, opts, "stackfree", |q| stackfree_query(tree, q, k, cfg, opts))
-}
-
-/// [`stackfree_batch`] under a fault plan, with the retry/degrade recovery
-/// ladder. The degraded rung is the same exact brute scan as every other
-/// engine's — it touches only the flat point array, which the implicit tree
-/// has by construction.
-pub fn stackfree_batch_recovering<T: ImplicitKdIndex>(
-    tree: &T,
-    queries: &PointSet,
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    plan: &FaultPlan,
-) -> Result<QueryBatchResult, EngineError> {
-    run_batch_recovering(
+    run_batch(
         queries,
         cfg,
         opts,
+        None,
         "stackfree",
-        plan,
         |q, faults| stackfree_try_query(tree, q, k, cfg, opts, faults, &mut NoopSink),
         |q| brute_index_query(tree, q, k, cfg, opts),
     )
 }
 
-/// [`tpss_batch`] with the batch rescheduled into Hilbert order before the
-/// task-parallel packer groups queries into blocks, and the neighbor lists
-/// un-permuted back to submission order afterwards.
-///
-/// Unlike the block-per-query engines, TPSS packs queries into warps *by
-/// position*, so rescheduling changes which queries share a block — per-block
-/// counters are therefore reported in scheduled order and are **not**
-/// comparable block-for-block with [`tpss_batch`]'s (the merged totals of a
-/// lockstep simulation legitimately differ when lane groupings change).
-/// Results are exact and identical either way; this wrapper guarantees
-/// neighbors-parity only, by design (DESIGN.md §12).
-pub fn tpss_batch_scheduled<T: BoundingVolumeIndex>(
-    tree: &T,
-    queries: &PointSet,
-    k: usize,
-    cfg: &DeviceConfig,
-    threads_per_block: u32,
-) -> (Vec<Vec<Neighbor>>, Vec<KernelStats>) {
-    let perm = hilbert_order(queries);
-    let mut scheduled = PointSet::new(queries.dims());
-    for &i in &perm {
-        scheduled.push(queries.point(i as usize));
-    }
-    let (sched_neighbors, stats) = tpss_batch(tree, &scheduled, k, cfg, threads_per_block);
-    let mut neighbors = vec![Vec::new(); queries.len()];
-    for (j, nb) in sched_neighbors.into_iter().enumerate() {
-        neighbors[perm[j] as usize] = nb;
-    }
-    (neighbors, stats)
-}
-
-/// Brute-force scan over a batch of queries.
+/// Brute-force scan over a batch of queries. Under a fault plan the last
+/// rung is the same scan with no fault state attached.
 pub fn brute_batch(
     points: &PointSet,
     queries: &PointSet,
@@ -586,7 +384,15 @@ pub fn brute_batch(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> Result<QueryBatchResult, EngineError> {
-    run_batch(queries, cfg, opts, "brute", |q| brute_query(points, q, k, cfg, opts))
+    run_batch(
+        queries,
+        cfg,
+        opts,
+        None,
+        "brute",
+        |q, faults| brute_try_query(points, q, k, cfg, opts, faults, &mut NoopSink),
+        |q| brute_query(points, q, k, cfg, opts),
+    )
 }
 
 #[cfg(test)]
@@ -653,8 +459,9 @@ mod tests {
         let opts = KernelOptions::default();
         let empty = PointSet::new(tree.dims);
         assert!(matches!(psb_batch(&tree, &empty, 4, &cfg, &opts), Err(EngineError::EmptyBatch)));
+        let faulted = KernelOptions { faults: psb_gpu::FaultPlan::bit_flips(1, 5), ..opts };
         assert!(matches!(
-            psb_batch_recovering(&tree, &empty, 4, &cfg, &opts, &FaultPlan::none()),
+            psb_batch(&tree, &empty, 4, &cfg, &faulted),
             Err(EngineError::EmptyBatch)
         ));
     }

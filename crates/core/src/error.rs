@@ -122,7 +122,7 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// How one query in a recovering batch (or the serving layer) was answered.
+/// How one query in a batch (or the serving layer) was answered.
 ///
 /// `Clean`, `Retried` and `Degraded` are exact in every case — those variants
 /// only describe what it cost to get the exact answer. `DeadlineDegraded` is

@@ -28,20 +28,7 @@ pub fn brute_query(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> (Vec<Neighbor>, KernelStats) {
-    brute_query_traced(points, q, k, cfg, opts, &mut NoopSink)
-}
-
-/// [`brute_query`] with every metering call mirrored into `sink`; results and
-/// counters are bit-identical to the untraced run.
-pub fn brute_query_traced(
-    points: &PointSet,
-    q: &[f32],
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    sink: &mut dyn TraceSink,
-) -> (Vec<Neighbor>, KernelStats) {
-    brute_try_query(points, q, k, cfg, opts, None, sink)
+    brute_try_query(points, q, k, cfg, opts, None, &mut NoopSink)
         .unwrap_or_else(|e| panic!("brute-force kernel failed: {e}"))
 }
 
@@ -60,14 +47,12 @@ pub fn brute_try_query(
     assert_eq!(q.len(), points.dims(), "query dimensionality mismatch");
     assert!(k >= 1, "k must be at least 1");
     assert!(!points.is_empty(), "brute-force scan over zero points");
-    super::with_scratch(points.dims(), opts.lanes, |scratch| {
-        match effective_metering(opts, &faults) {
-            Metering::Simulated => {
-                brute_try_query_with::<true>(points, q, k, cfg, opts, faults, sink, scratch)
-            }
-            Metering::Off => {
-                brute_try_query_with::<false>(points, q, k, cfg, opts, faults, sink, scratch)
-            }
+    super::with_scratch(points.dims(), |scratch| match effective_metering(opts, &faults) {
+        Metering::Simulated => {
+            brute_try_query_with::<true>(points, q, k, cfg, opts, faults, sink, scratch)
+        }
+        Metering::Off => {
+            brute_try_query_with::<false>(points, q, k, cfg, opts, faults, sink, scratch)
         }
     })
 }
@@ -188,7 +173,7 @@ fn brute_index_query_with<T: GpuIndex, const M: bool>(
     let dc = dist_cost(tree.dims());
     // Resolved once per launch, not per point: the fallback scans the whole
     // dataset, so per-call dispatch would dominate small dims.
-    let dk = DistKernel::for_dims_lanes(tree.dims(), opts.lanes);
+    let dk = DistKernel::for_dims(tree.dims());
     let mut dists: Vec<(f32, u32)> = Vec::with_capacity(tile);
     let mut start = 0usize;
     while start < n {
@@ -242,7 +227,7 @@ fn brute_index_range_with<T: GpuIndex, const M: bool>(
     let _ = block.reserve_shared(tile_bytes, cfg.smem_per_sm);
 
     let dc = dist_cost(tree.dims());
-    let dk = DistKernel::for_dims_lanes(tree.dims(), opts.lanes);
+    let dk = DistKernel::for_dims(tree.dims());
     let mut out: Vec<Neighbor> = Vec::new();
     let mut start = 0usize;
     while start < n {

@@ -19,7 +19,7 @@ pub mod tpss;
 
 use std::cell::RefCell;
 
-use psb_geom::{DistKernel, DistLanes};
+use psb_geom::DistKernel;
 use psb_gpu::{Block, DeviceConfig, FaultState, NodeKind, Phase, TraceSink};
 
 use crate::dist_cost;
@@ -249,13 +249,13 @@ pub(crate) struct Scratch {
 
 impl Scratch {
     /// Prepare for a query in `dims` dimensions: re-resolve the distance
-    /// kernel only when the dimensionality or lane selection changes, empty
+    /// kernel only when the dimensionality changes, empty
     /// every buffer. Resolution therefore happens once per (worker thread ×
     /// batch), not per query — the fn-pointer dispatch cost vanishes from
     /// 100k-query wave batches.
-    fn reset_for(&mut self, dims: usize, lanes: DistLanes) {
-        if self.dk.dims() != dims || self.dk.lanes() != lanes {
-            self.dk = DistKernel::for_dims_lanes(dims, lanes);
+    fn reset_for(&mut self, dims: usize) {
+        if self.dk.dims() != dims {
+            self.dk = DistKernel::for_dims(dims);
         }
         self.sweep.clear();
         self.leaf.clear();
@@ -362,23 +362,18 @@ thread_local! {
     static SCRATCH_POOL: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
-/// Run `f` with this thread's pooled scratch, reset for `dims` and the
-/// batch's lane selection. Falls back to a fresh scratch if the pool is
+/// Run `f` with this thread's pooled scratch, reset for `dims`. Falls back to a fresh scratch if the pool is
 /// unexpectedly still borrowed (e.g. a kernel re-entered through a recovery
 /// path) — correctness never depends on reuse.
-pub(crate) fn with_scratch<R>(
-    dims: usize,
-    lanes: DistLanes,
-    f: impl FnOnce(&mut Scratch) -> R,
-) -> R {
+pub(crate) fn with_scratch<R>(dims: usize, f: impl FnOnce(&mut Scratch) -> R) -> R {
     SCRATCH_POOL.with(|pool| match pool.try_borrow_mut() {
         Ok(mut scratch) => {
-            scratch.reset_for(dims, lanes);
+            scratch.reset_for(dims);
             f(&mut scratch)
         }
         Err(_) => {
             let mut scratch = Scratch::default();
-            scratch.reset_for(dims, lanes);
+            scratch.reset_for(dims);
             f(&mut scratch)
         }
     })

@@ -48,21 +48,7 @@ pub fn psb_query<T: BoundingVolumeIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> (Vec<Neighbor>, KernelStats) {
-    psb_query_traced(tree, q, k, cfg, opts, &mut NoopSink)
-}
-
-/// [`psb_query`] with every metering call mirrored into `sink`. Tracing is
-/// observation-only: the neighbors and counters are bit-identical to the
-/// untraced run.
-pub fn psb_query_traced<T: BoundingVolumeIndex>(
-    tree: &T,
-    q: &[f32],
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    sink: &mut dyn TraceSink,
-) -> (Vec<Neighbor>, KernelStats) {
-    psb_try_query(tree, q, k, cfg, opts, None, sink)
+    psb_try_query(tree, q, k, cfg, opts, None, &mut NoopSink)
         .unwrap_or_else(|e| panic!("PSB kernel failed on a trusted tree: {e}"))
 }
 
@@ -70,7 +56,8 @@ pub fn psb_query_traced<T: BoundingVolumeIndex>(
 /// runs under a traversal step budget, polls the device fault flags at each
 /// step, and reports failure as a typed [`KernelError`] instead of panicking
 /// or hanging. With `faults: None` and a valid tree this is bit-identical to
-/// the original kernel (the checks meter nothing).
+/// the original kernel (the checks meter nothing). Every metering call is
+/// mirrored into `sink`; tracing is observation-only.
 #[allow(clippy::too_many_arguments)]
 pub fn psb_try_query<T: BoundingVolumeIndex>(
     tree: &T,
@@ -85,29 +72,14 @@ pub fn psb_try_query<T: BoundingVolumeIndex>(
     assert!(k >= 1, "k must be at least 1");
     // One launch-time dispatch monomorphizes the whole traversal for the
     // metering mode — no per-load branch anywhere in the hot loop.
-    super::with_scratch(tree.dims(), opts.lanes, |scratch| {
-        match effective_metering(opts, &faults) {
-            Metering::Simulated => {
-                psb_try_query_with::<T, true>(tree, q, k, cfg, opts, faults, sink, scratch, false)
-            }
-            Metering::Off => {
-                psb_try_query_with::<T, false>(tree, q, k, cfg, opts, faults, sink, scratch, false)
-            }
+    super::with_scratch(tree.dims(), |scratch| match effective_metering(opts, &faults) {
+        Metering::Simulated => {
+            psb_try_query_with::<T, true>(tree, q, k, cfg, opts, faults, sink, scratch, false)
+        }
+        Metering::Off => {
+            psb_try_query_with::<T, false>(tree, q, k, cfg, opts, faults, sink, scratch, false)
         }
     })
-}
-
-/// [`psb_query`] through the throughput kernel ([`psb_try_query_replay`]):
-/// trusted-tree entry point for the scheduled engine.
-pub(crate) fn psb_query_replay<T: BoundingVolumeIndex>(
-    tree: &T,
-    q: &[f32],
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-) -> (Vec<Neighbor>, KernelStats) {
-    psb_try_query_replay(tree, q, k, cfg, opts, None, &mut NoopSink)
-        .unwrap_or_else(|e| panic!("PSB kernel failed on a trusted tree: {e}"))
 }
 
 /// The throughput engine's PSB kernel ([`psb_try_query`] plus the sweep-replay
@@ -129,14 +101,12 @@ pub(crate) fn psb_try_query_replay<T: BoundingVolumeIndex>(
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
     assert_eq!(q.len(), tree.dims(), "query dimensionality mismatch");
     assert!(k >= 1, "k must be at least 1");
-    super::with_scratch(tree.dims(), opts.lanes, |scratch| {
-        match effective_metering(opts, &faults) {
-            Metering::Simulated => {
-                psb_try_query_with::<T, true>(tree, q, k, cfg, opts, faults, sink, scratch, true)
-            }
-            Metering::Off => {
-                psb_try_query_with::<T, false>(tree, q, k, cfg, opts, faults, sink, scratch, true)
-            }
+    super::with_scratch(tree.dims(), |scratch| match effective_metering(opts, &faults) {
+        Metering::Simulated => {
+            psb_try_query_with::<T, true>(tree, q, k, cfg, opts, faults, sink, scratch, true)
+        }
+        Metering::Off => {
+            psb_try_query_with::<T, false>(tree, q, k, cfg, opts, faults, sink, scratch, true)
         }
     })
 }

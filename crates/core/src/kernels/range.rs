@@ -38,20 +38,7 @@ pub fn range_query_gpu<T: BoundingVolumeIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> (Vec<Neighbor>, KernelStats) {
-    range_query_gpu_traced(tree, q, radius, cfg, opts, &mut NoopSink)
-}
-
-/// [`range_query_gpu`] with every metering call mirrored into `sink`; results
-/// and counters are bit-identical to the untraced run.
-pub fn range_query_gpu_traced<T: BoundingVolumeIndex>(
-    tree: &T,
-    q: &[f32],
-    radius: f32,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    sink: &mut dyn TraceSink,
-) -> (Vec<Neighbor>, KernelStats) {
-    range_try_query(tree, q, radius, cfg, opts, None, sink)
+    range_try_query(tree, q, radius, cfg, opts, None, &mut NoopSink)
         .unwrap_or_else(|e| panic!("range kernel failed on a trusted tree: {e}"))
 }
 
@@ -70,14 +57,12 @@ pub fn range_try_query<T: BoundingVolumeIndex>(
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
     assert!(radius >= 0.0, "radius must be non-negative");
     assert_eq!(q.len(), tree.dims(), "query dimensionality mismatch");
-    super::with_scratch(tree.dims(), opts.lanes, |scratch| {
-        match effective_metering(opts, &faults) {
-            Metering::Simulated => {
-                range_try_query_with::<T, true>(tree, q, radius, cfg, opts, faults, sink, scratch)
-            }
-            Metering::Off => {
-                range_try_query_with::<T, false>(tree, q, radius, cfg, opts, faults, sink, scratch)
-            }
+    super::with_scratch(tree.dims(), |scratch| match effective_metering(opts, &faults) {
+        Metering::Simulated => {
+            range_try_query_with::<T, true>(tree, q, radius, cfg, opts, faults, sink, scratch)
+        }
+        Metering::Off => {
+            range_try_query_with::<T, false>(tree, q, radius, cfg, opts, faults, sink, scratch)
         }
     })
 }

@@ -36,20 +36,7 @@ pub fn restart_query<T: BoundingVolumeIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> (Vec<Neighbor>, KernelStats) {
-    restart_query_traced(tree, q, k, cfg, opts, &mut NoopSink)
-}
-
-/// [`restart_query`] with every metering call mirrored into `sink`; results
-/// and counters are bit-identical to the untraced run.
-pub fn restart_query_traced<T: BoundingVolumeIndex>(
-    tree: &T,
-    q: &[f32],
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    sink: &mut dyn TraceSink,
-) -> (Vec<Neighbor>, KernelStats) {
-    restart_try_query(tree, q, k, cfg, opts, None, sink)
+    restart_try_query(tree, q, k, cfg, opts, None, &mut NoopSink)
         .unwrap_or_else(|e| panic!("restart kernel failed on a trusted tree: {e}"))
 }
 
@@ -68,14 +55,12 @@ pub fn restart_try_query<T: BoundingVolumeIndex>(
 ) -> Result<(Vec<Neighbor>, KernelStats), KernelError> {
     assert_eq!(q.len(), tree.dims(), "query dimensionality mismatch");
     assert!(k >= 1, "k must be at least 1");
-    super::with_scratch(tree.dims(), opts.lanes, |scratch| {
-        match effective_metering(opts, &faults) {
-            Metering::Simulated => {
-                restart_try_query_with::<T, true>(tree, q, k, cfg, opts, faults, sink, scratch)
-            }
-            Metering::Off => {
-                restart_try_query_with::<T, false>(tree, q, k, cfg, opts, faults, sink, scratch)
-            }
+    super::with_scratch(tree.dims(), |scratch| match effective_metering(opts, &faults) {
+        Metering::Simulated => {
+            restart_try_query_with::<T, true>(tree, q, k, cfg, opts, faults, sink, scratch)
+        }
+        Metering::Off => {
+            restart_try_query_with::<T, false>(tree, q, k, cfg, opts, faults, sink, scratch)
         }
     })
 }

@@ -176,6 +176,10 @@ impl<T: BoundingVolumeIndex> Lane<'_, T> {
 
 /// Runs a batch task-parallel: queries are packed into blocks of
 /// `threads_per_block` lanes. Returns per-query results and per-block stats.
+///
+/// Trusted-tree entry point: panics if any lane reports a [`KernelError`],
+/// which a validated tree can never produce. Use [`tpss_try_batch`] to handle
+/// corruption per query or to trace the batch.
 pub fn tpss_batch<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
@@ -183,27 +187,10 @@ pub fn tpss_batch<T: BoundingVolumeIndex>(
     cfg: &DeviceConfig,
     threads_per_block: u32,
 ) -> (Vec<Vec<Neighbor>>, Vec<KernelStats>) {
-    tpss_batch_traced(tree, queries, k, cfg, threads_per_block, &mut NoopSink)
-}
-
-/// [`tpss_batch`] with every block's issue groups and loads mirrored into
-/// `sink` (blocks run sequentially, so events arrive in block order). Results
-/// and counters are bit-identical to the untraced run.
-///
-/// Trusted-tree entry point: panics if any lane reports a [`KernelError`],
-/// which a validated tree can never produce. Use [`tpss_try_batch`] to handle
-/// corruption per query.
-pub fn tpss_batch_traced<T: BoundingVolumeIndex>(
-    tree: &T,
-    queries: &PointSet,
-    k: usize,
-    cfg: &DeviceConfig,
-    threads_per_block: u32,
-    sink: &mut dyn TraceSink,
-) -> (Vec<Vec<Neighbor>>, Vec<KernelStats>) {
     assert!(!queries.is_empty(), "empty query batch");
-    let (results, per_block) = tpss_try_batch(tree, queries, k, cfg, threads_per_block, sink)
-        .unwrap_or_else(|e| panic!("task-parallel kernel rejected the batch: {e}"));
+    let (results, per_block) =
+        tpss_try_batch(tree, queries, k, cfg, threads_per_block, &mut NoopSink)
+            .unwrap_or_else(|e| panic!("task-parallel kernel rejected the batch: {e}"));
     let results = results
         .into_iter()
         .map(|r| r.unwrap_or_else(|e| panic!("task-parallel kernel failed on a trusted tree: {e}")))
@@ -219,6 +206,8 @@ pub type TpssBatchOutput = (Vec<Result<Vec<Neighbor>, KernelError>>, Vec<KernelS
 /// bounds-checks every link it follows, so corruption yields a per-query
 /// [`KernelError`] instead of a panic or an endless round loop. Lanes that
 /// fail simply go idle; surviving lanes in the same block finish normally.
+/// Every block's issue groups and loads are mirrored into `sink` (blocks run
+/// sequentially, so events arrive in block order).
 /// Bit-identical results and stats to [`tpss_batch`] on a valid tree.
 pub fn tpss_try_batch<T: BoundingVolumeIndex>(
     tree: &T,

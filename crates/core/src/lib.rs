@@ -35,10 +35,8 @@ pub mod wave;
 
 pub use dynamic::DynamicSsTree;
 pub use engine::{
-    bnb_batch, bnb_batch_recovering, bnb_batch_traced, brute_batch, merge_stats, psb_batch,
-    psb_batch_recovering, psb_batch_traced, range_batch, range_batch_recovering, restart_batch,
-    restart_batch_recovering, stackfree_batch, stackfree_batch_recovering, tpss_batch_scheduled,
-    QueryBatchResult,
+    bnb_batch, brute_batch, merge_stats, psb_batch, range_batch, restart_batch, stackfree_batch,
+    BatchKernel, QueryBatchResult,
 };
 pub use error::{EngineError, KernelError, QueryOutcome};
 pub use index::{BoundingVolumeIndex, GpuIndex, ImplicitKdIndex, SweepScratch, NO_ROPE};
@@ -47,15 +45,14 @@ pub use kernels::brute::{brute_index_query, brute_index_range, brute_try_query};
 pub use kernels::psb::psb_try_query;
 pub use kernels::range::range_try_query;
 pub use kernels::restart::restart_try_query;
-pub use kernels::stackfree::{stackfree_query, stackfree_query_traced, stackfree_try_query};
-pub use kernels::tpss::{tpss_batch, tpss_batch_traced, tpss_try_batch};
+pub use kernels::stackfree::{stackfree_query, stackfree_try_query};
+pub use kernels::tpss::{tpss_batch, tpss_try_batch};
 pub use knnlist::SharedMemPolicy;
 pub use options::{KernelOptions, Metering, NodeLayout};
-pub use psb_geom::DistLanes;
 pub use psb_metrics::{MetricsHandle, Registry};
 pub use schedule::{hilbert_order, hilbert_permutation, QuerySchedule, ScheduleScratch};
 pub use shard::{partition, shard_sphere, ShardPlan, ShardPolicy};
-pub use stream::{QueryStream, StreamKernel};
+pub use stream::QueryStream;
 pub use wave::{wave_knn_batch, wave_range_batch, WaveConfig, WaveReport};
 
 /// Instruction cost of one `dims`-dimensional distance evaluation in the cost

@@ -1,7 +1,7 @@
 //! Kernel launch options, including the ablation switches called out in
 //! DESIGN.md §7 and the throughput knobs of §12.
 
-use psb_geom::DistLanes;
+use psb_gpu::FaultPlan;
 use psb_metrics::MetricsHandle;
 
 use crate::knnlist::SharedMemPolicy;
@@ -80,9 +80,11 @@ pub struct KernelOptions {
     /// in level-synchronous waves, and each buffered node is swept once with
     /// its fetch amortized over the buffer. `None` (the default) keeps the
     /// per-query engines. Neighbors and outcomes are bit-identical either
-    /// way; `KernelStats` reflect the amortized schedule. The recovery
-    /// runners ignore this under a real fault plan (the wave engine serves
-    /// the fault-free path only, like the sweep-replay memo).
+    /// way; `KernelStats` reflect the amortized schedule. The batch engine
+    /// ignores this under a real [`faults`](Self::faults) plan (the wave
+    /// engine serves the fault-free path only, like the sweep-replay memo).
+    /// `ShardRouter` / `ResilientRouter` ignore it too, as they do
+    /// `schedule` and `fuse`.
     pub wave: Option<WaveConfig>,
     /// Simulated-cost-model switch (DESIGN.md §17). [`Metering::Off`]
     /// compiles the `Block` accounting out of the hot loop; results are
@@ -97,11 +99,18 @@ pub struct KernelOptions {
     /// (`tests/ropes.rs`); counters reflect the rope fetches. Off by default:
     /// the paper's PSB figures use the leaf-sequential traversal.
     pub rope: bool,
-    /// Distance-kernel lane selection: the explicit-SIMD same-op-order
-    /// evaluators (the default) or the reference scalar loops. Both produce
-    /// bit-identical f32 results (`psb-geom`'s identity suites); the switch
-    /// exists for A/B wall-clock benching, not for correctness.
-    pub lanes: DistLanes,
+    /// Seeded device-fault plan for the batch engine and [`QueryStream`]
+    /// (DESIGN.md §10). Each query climbs the recovery ladder under its own
+    /// substream: attempt, one retry, then an exact brute-force scan, with
+    /// the rung recorded in [`QueryBatchResult::outcomes`]. The default
+    /// [`FaultPlan::none`] attaches no fault state, so the ladder never
+    /// advances on a valid tree. `ShardRouter` / `ResilientRouter` ignore
+    /// this field: they keep a plan per replica, just as they ignore
+    /// `schedule`, `fuse` and `wave`.
+    ///
+    /// [`QueryStream`]: crate::QueryStream
+    /// [`QueryBatchResult::outcomes`]: crate::QueryBatchResult::outcomes
+    pub faults: FaultPlan,
 }
 
 impl Default for KernelOptions {
@@ -118,7 +127,7 @@ impl Default for KernelOptions {
             wave: None,
             metering: Metering::Simulated,
             rope: false,
-            lanes: DistLanes::Simd,
+            faults: FaultPlan::none(),
         }
     }
 }
@@ -140,6 +149,6 @@ mod tests {
         assert!(o.wave.is_none(), "the wave engine is opt-in");
         assert_eq!(o.metering, Metering::Simulated, "figures need the cost model");
         assert!(!o.rope, "rope traversal is opt-in; the paper's traversal is stacked");
-        assert_eq!(o.lanes, DistLanes::Simd, "SIMD lanes are bit-identical, so default-on");
+        assert!(o.faults.is_noop(), "fault injection is opt-in");
     }
 }

@@ -14,40 +14,25 @@
 //!
 //! Results surface per chunk as ordinary [`QueryBatchResult`]s, in submission
 //! order both across chunks and within each chunk — scheduling never leaks
-//! into what the caller observes (`tests/schedule_parity.rs`).
+//! into what the caller observes (`tests/schedule_parity.rs`). Each chunk
+//! runs through the batch engine's dispatch ([`BatchKernel`]), so
+//! [`KernelOptions::faults`] applies per chunk: a query's fault substream is
+//! keyed by its index within the chunk.
 
 use std::collections::VecDeque;
 
 use psb_geom::PointSet;
 use psb_gpu::DeviceConfig;
 
-use crate::engine::{run_batch_ordered, QueryBatchResult};
+use crate::engine::{run_kernel, BatchKernel, QueryBatchResult};
 use crate::index::BoundingVolumeIndex;
-use crate::kernels::bnb::bnb_query;
-use crate::kernels::psb::{psb_query, psb_query_replay};
-use crate::kernels::range::range_query_gpu;
-use crate::kernels::restart::restart_query;
 use crate::options::KernelOptions;
 use crate::schedule::{hilbert_permutation, QuerySchedule, ScheduleScratch};
-
-/// Which kernel a [`QueryStream`] runs on each chunk.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum StreamKernel {
-    /// PSB kNN (Algorithm 1); the stream's scheduled chunks run the
-    /// throughput (sweep-replay) variant, exactly like [`crate::psb_batch`].
-    Psb { k: usize },
-    /// Branch-and-bound kNN.
-    Bnb { k: usize },
-    /// Scan-and-restart kNN (no parent links).
-    Restart { k: usize },
-    /// Fixed-radius range query.
-    Range { radius: f32 },
-}
 
 /// A double-buffered streaming pipeline over one index.
 ///
 /// ```
-/// use psb_core::{QueryStream, StreamKernel, KernelOptions, QuerySchedule};
+/// use psb_core::{QueryStream, BatchKernel, KernelOptions, QuerySchedule};
 /// # use psb_data::{sample_queries, ClusteredSpec};
 /// # use psb_sstree::{build, BuildMethod};
 /// # let ps = ClusteredSpec { clusters: 3, points_per_cluster: 200, dims: 4, sigma: 80.0, seed: 7 }
@@ -56,7 +41,7 @@ pub enum StreamKernel {
 /// # let queries = sample_queries(&ps, 10, 0.01, 8);
 /// let cfg = psb_gpu::DeviceConfig::k40();
 /// let opts = KernelOptions { schedule: QuerySchedule::Hilbert, ..Default::default() };
-/// let mut stream = QueryStream::with_chunk_size(&tree, StreamKernel::Psb { k: 4 }, cfg, opts, 4);
+/// let mut stream = QueryStream::with_chunk_size(&tree, BatchKernel::Psb { k: 4 }, cfg, opts, 4);
 /// for q in queries.iter() {
 ///     stream.push(q);
 ///     while let Some(chunk) = stream.poll() {
@@ -69,7 +54,7 @@ pub enum StreamKernel {
 /// ```
 pub struct QueryStream<'t, T: BoundingVolumeIndex> {
     tree: &'t T,
-    kernel: StreamKernel,
+    kernel: BatchKernel,
     cfg: DeviceConfig,
     opts: KernelOptions,
     chunk: usize,
@@ -97,14 +82,14 @@ impl<'t, T: BoundingVolumeIndex> QueryStream<'t, T> {
     pub const DEFAULT_CHUNK: usize = 240;
 
     /// A stream executing [`Self::DEFAULT_CHUNK`]-query chunks.
-    pub fn new(tree: &'t T, kernel: StreamKernel, cfg: DeviceConfig, opts: KernelOptions) -> Self {
+    pub fn new(tree: &'t T, kernel: BatchKernel, cfg: DeviceConfig, opts: KernelOptions) -> Self {
         Self::with_chunk_size(tree, kernel, cfg, opts, Self::DEFAULT_CHUNK)
     }
 
     /// A stream with an explicit chunk size (at least 1).
     pub fn with_chunk_size(
         tree: &'t T,
-        kernel: StreamKernel,
+        kernel: BatchKernel,
         cfg: DeviceConfig,
         opts: KernelOptions,
         chunk: usize,
@@ -214,45 +199,11 @@ impl<'t, T: BoundingVolumeIndex> QueryStream<'t, T> {
 
     fn execute(&mut self, chunk: PointSet, order: Option<Vec<u32>>) {
         let (tree, cfg, opts) = (self.tree, &self.cfg, &self.opts);
-        let ord = order.as_deref();
         let started = opts.metrics.is_attached().then(std::time::Instant::now);
-        let result = if opts.wave.is_some() {
-            // Wave mode: the whole chunk runs through the buffer-wave engine
-            // (one node-centric traversal per chunk instead of one per
-            // query), reusing the precomputed schedule like the per-query
-            // path below. Results are bit-identical (tests below).
-            match self.kernel {
-                StreamKernel::Psb { k } | StreamKernel::Bnb { k } | StreamKernel::Restart { k } => {
-                    crate::wave::wave_knn_batch_ordered(tree, &chunk, k, cfg, opts, ord)
-                }
-                StreamKernel::Range { radius } => {
-                    crate::wave::wave_range_batch_ordered(tree, &chunk, radius, cfg, opts, ord)
-                }
-            }
-            .map(|(r, _)| r)
-        } else {
-            match self.kernel {
-                StreamKernel::Psb { k } => {
-                    run_batch_ordered(&chunk, cfg, opts, ord, "psb", |q| match opts.schedule {
-                        QuerySchedule::Submission => psb_query(tree, q, k, cfg, opts),
-                        QuerySchedule::Hilbert => psb_query_replay(tree, q, k, cfg, opts),
-                    })
-                }
-                StreamKernel::Bnb { k } => run_batch_ordered(&chunk, cfg, opts, ord, "bnb", |q| {
-                    bnb_query(tree, q, k, cfg, opts)
-                }),
-                StreamKernel::Restart { k } => {
-                    run_batch_ordered(&chunk, cfg, opts, ord, "restart", |q| {
-                        restart_query(tree, q, k, cfg, opts)
-                    })
-                }
-                StreamKernel::Range { radius } => {
-                    run_batch_ordered(&chunk, cfg, opts, ord, "range", |q| {
-                        range_query_gpu(tree, q, radius, cfg, opts)
-                    })
-                }
-            }
-        };
+        // The batch engine's dispatch, with this chunk's precomputed
+        // schedule: wave routing, the PSB replay kernel under Hilbert order,
+        // the fault plan's ladder and the brute last rung all apply per chunk.
+        let result = run_kernel(tree, &chunk, self.kernel, cfg, opts, order.as_deref());
         // Chunks are only ever staged non-empty, so the launch cannot fail.
         let result = result.unwrap_or_else(|e| panic!("non-empty chunk failed to launch: {e}"));
         if let Some(t0) = started {
@@ -307,7 +258,7 @@ mod tests {
             let opts = KernelOptions { schedule, ..Default::default() };
             let mut stream = QueryStream::with_chunk_size(
                 &tree,
-                StreamKernel::Psb { k: 5 },
+                BatchKernel::Psb { k: 5 },
                 cfg.clone(),
                 opts.clone(),
                 10,
@@ -338,7 +289,7 @@ mod tests {
         let cfg = DeviceConfig::k40();
         let opts = KernelOptions { schedule: QuerySchedule::Hilbert, ..Default::default() };
         let mut stream =
-            QueryStream::with_chunk_size(&tree, StreamKernel::Psb { k: 3 }, cfg, opts, 8);
+            QueryStream::with_chunk_size(&tree, BatchKernel::Psb { k: 3 }, cfg, opts, 8);
         for i in 0..8 {
             stream.push(queries.point(i));
         }
@@ -362,9 +313,9 @@ mod tests {
         let cfg = DeviceConfig::k40();
         let opts = KernelOptions { schedule: QuerySchedule::Hilbert, ..Default::default() };
         for kernel in [
-            StreamKernel::Bnb { k: 4 },
-            StreamKernel::Restart { k: 4 },
-            StreamKernel::Range { radius: 250.0 },
+            BatchKernel::Bnb { k: 4 },
+            BatchKernel::Restart { k: 4 },
+            BatchKernel::Range { radius: 250.0 },
         ] {
             let mut stream =
                 QueryStream::with_chunk_size(&tree, kernel, cfg.clone(), opts.clone(), 9);
@@ -384,7 +335,7 @@ mod tests {
             ..Default::default()
         };
         let mut stream =
-            QueryStream::with_chunk_size(&tree, StreamKernel::Psb { k: 3 }, cfg, opts, 8);
+            QueryStream::with_chunk_size(&tree, BatchKernel::Psb { k: 3 }, cfg, opts, 8);
         let chunks = push_all(&mut stream, &queries);
         let snap = reg.snapshot();
         let counter = |name: &str| {
@@ -415,7 +366,7 @@ mod tests {
         let (_, tree, _) = setup();
         let _ = QueryStream::with_chunk_size(
             &tree,
-            StreamKernel::Psb { k: 1 },
+            BatchKernel::Psb { k: 1 },
             DeviceConfig::k40(),
             KernelOptions::default(),
             0,

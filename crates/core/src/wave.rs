@@ -65,17 +65,18 @@
 //! ## Faults
 //!
 //! Like the PSB sweep-replay memo, the wave engine serves the fault-free
-//! path only: the `*_batch_recovering` runners route to the per-query
-//! recovery ladder whenever a real [`FaultPlan`](psb_gpu::FaultPlan) is
-//! attached, so corruption still yields typed errors or exact degraded
-//! results, never panics (`tests/wave_parity.rs`).
+//! path only: the batch engine routes to the per-query recovery ladder
+//! whenever [`KernelOptions::faults`] is a real plan, so faults still yield
+//! typed errors or exact degraded results, never panics
+//! (`tests/wave_parity.rs`). The public [`wave_knn_batch`] /
+//! [`wave_range_batch`] entry points ignore the plan.
 
 use psb_geom::PointSet;
 use psb_gpu::{launch_blocks_fused, Block, DeviceConfig, NodeKind, Phase};
 use psb_sstree::Neighbor;
 use rayon::prelude::*;
 
-use crate::engine::{record_batch, schedule_order, warps_of, QueryBatchResult};
+use crate::engine::{batch_order, record_batch, warps_of, QueryBatchResult};
 use crate::error::{EngineError, KernelError, QueryOutcome};
 use crate::index::BoundingVolumeIndex;
 use crate::kernels::{
@@ -149,7 +150,7 @@ impl WaveReport {
 /// range bounds are the fixed radius (and admit `MINDIST == radius`, matching
 /// the per-query range kernel's `<=` test).
 #[derive(Clone, Copy)]
-enum WaveMode {
+pub(crate) enum WaveMode {
     Knn { k: usize },
     Range { radius: f32 },
 }
@@ -489,7 +490,7 @@ impl<T: BoundingVolumeIndex> WaveCtx<'_, T> {
         wr.buffered_entries += u64::from(fill);
         wr.max_fill = wr.max_fill.max(fill);
         let level = self.levels[n as usize];
-        with_scratch(self.tree.dims(), self.opts.lanes, |scratch| {
+        with_scratch(self.tree.dims(), |scratch| {
             for (rank, &(q, mindist)) in entries.iter().enumerate() {
                 let item = WorkItem { node: n, rank: rank as u32, fill, mindist };
                 let qi = q as usize;
@@ -532,7 +533,7 @@ fn wave_execute<T: BoundingVolumeIndex, const M: bool>(
     let mut states: Vec<QueryState<M>> = (0..nq)
         .into_par_iter()
         .map(|i| match mode {
-            WaveMode::Knn { k } => with_scratch(tree.dims(), opts.lanes, |scratch| {
+            WaveMode::Knn { k } => with_scratch(tree.dims(), |scratch| {
                 prime_knn(tree, queries.point(i), k, root, cfg, opts, scratch)
             }),
             WaveMode::Range { radius } => prime_range(tree, radius, cfg, opts),
@@ -598,7 +599,7 @@ fn wave_execute<T: BoundingVolumeIndex, const M: bool>(
                 if items.is_empty() {
                     return Ok(());
                 }
-                with_scratch(tree.dims(), opts.lanes, |scratch| {
+                with_scratch(tree.dims(), |scratch| {
                     for item in items {
                         process_entry(
                             tree,
@@ -632,7 +633,9 @@ fn wave_execute<T: BoundingVolumeIndex, const M: bool>(
 /// [`QueryBatchResult`] (plus the [`WaveReport`]) exactly like the per-query
 /// batch runners — same launch aggregation, same telemetry shape (kernel
 /// label `"wave"`), plus the wave counters.
-fn run_wave<T: BoundingVolumeIndex>(
+/// `order` is a precomputed execution order, `None` to derive it from
+/// [`KernelOptions::schedule`].
+pub(crate) fn run_wave<T: BoundingVolumeIndex>(
     tree: &T,
     queries: &PointSet,
     mode: WaveMode,
@@ -640,9 +643,13 @@ fn run_wave<T: BoundingVolumeIndex>(
     opts: &KernelOptions,
     order: Option<&[u32]>,
 ) -> Result<(QueryBatchResult, WaveReport), EngineError> {
+    match mode {
+        WaveMode::Knn { k } => assert!(k >= 1, "k must be at least 1"),
+        WaveMode::Range { radius } => assert!(radius >= 0.0, "radius must be non-negative"),
+    }
     // Launch-time metering dispatch: the wave engine never carries injected
-    // faults (the resilience engine only routes fault-free plans here), so
-    // the mode is exactly what the caller asked for.
+    // faults (the batch engine only routes fault-free plans here), so the
+    // mode is exactly what the caller asked for.
     match opts.metering {
         Metering::Simulated => run_wave_with::<T, true>(tree, queries, mode, cfg, opts, order),
         Metering::Off => run_wave_with::<T, false>(tree, queries, mode, cfg, opts, order),
@@ -661,6 +668,8 @@ fn run_wave_with<T: BoundingVolumeIndex, const M: bool>(
         return Err(EngineError::EmptyBatch);
     }
     assert_eq!(queries.dims(), tree.dims(), "query dimensionality mismatch");
+    let order = batch_order(queries, opts, order);
+    let order = order.as_deref();
     let capacity = opts.wave.unwrap_or_default().cap();
     let m = &opts.metrics;
     let started = m.is_attached().then(std::time::Instant::now);
@@ -707,23 +716,7 @@ pub fn wave_knn_batch<T: BoundingVolumeIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> Result<(QueryBatchResult, WaveReport), EngineError> {
-    assert!(k >= 1, "k must be at least 1");
-    let order = schedule_order(queries, opts);
-    run_wave(tree, queries, WaveMode::Knn { k }, cfg, opts, order.as_deref())
-}
-
-/// [`wave_knn_batch`] with a precomputed execution order (the streaming
-/// pipeline schedules chunk N+1 while chunk N executes).
-pub(crate) fn wave_knn_batch_ordered<T: BoundingVolumeIndex>(
-    tree: &T,
-    queries: &PointSet,
-    k: usize,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    order: Option<&[u32]>,
-) -> Result<(QueryBatchResult, WaveReport), EngineError> {
-    assert!(k >= 1, "k must be at least 1");
-    run_wave(tree, queries, WaveMode::Knn { k }, cfg, opts, order)
+    run_wave(tree, queries, WaveMode::Knn { k }, cfg, opts, None)
 }
 
 /// Fixed-radius range queries over a batch through the buffer-wave engine.
@@ -736,22 +729,7 @@ pub fn wave_range_batch<T: BoundingVolumeIndex>(
     cfg: &DeviceConfig,
     opts: &KernelOptions,
 ) -> Result<(QueryBatchResult, WaveReport), EngineError> {
-    assert!(radius >= 0.0, "radius must be non-negative");
-    let order = schedule_order(queries, opts);
-    run_wave(tree, queries, WaveMode::Range { radius }, cfg, opts, order.as_deref())
-}
-
-/// [`wave_range_batch`] with a precomputed execution order.
-pub(crate) fn wave_range_batch_ordered<T: BoundingVolumeIndex>(
-    tree: &T,
-    queries: &PointSet,
-    radius: f32,
-    cfg: &DeviceConfig,
-    opts: &KernelOptions,
-    order: Option<&[u32]>,
-) -> Result<(QueryBatchResult, WaveReport), EngineError> {
-    assert!(radius >= 0.0, "radius must be non-negative");
-    run_wave(tree, queries, WaveMode::Range { radius }, cfg, opts, order)
+    run_wave(tree, queries, WaveMode::Range { radius }, cfg, opts, None)
 }
 
 #[cfg(test)]

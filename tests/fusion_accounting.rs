@@ -137,8 +137,8 @@ fn faults_still_latch_inside_fused_blocks() {
     let opts = KernelOptions { fuse: 4, ..Default::default() };
     // A tight transaction budget must still cut fused queries off: the latch
     // lives on the (shared) block, polled by every fused query's ticks.
-    let plan = FaultPlan::truncation(8);
-    let r = psb_batch_recovering(&tree, &queries, 8, &cfg, &opts, &plan).expect("recovering");
+    let faulted = KernelOptions { faults: FaultPlan::truncation(8), ..opts.clone() };
+    let r = psb_batch(&tree, &queries, 8, &cfg, &faulted).expect("recovering");
     let non_clean = r.outcomes.iter().filter(|o| !matches!(o, QueryOutcome::Clean)).count();
     assert!(non_clean > 0, "an 8-transaction budget must trip on every real traversal");
     assert_eq!(r.report.degraded_queries as usize + r.report.retried_queries as usize, non_clean);
@@ -160,7 +160,7 @@ fn streamed_fused_chunks_agree_with_the_batch_engine() {
     let whole = psb_batch(&tree, &queries, 5, &cfg, &opts).expect("batch");
     let mut stream = psb_core::QueryStream::with_chunk_size(
         &tree,
-        psb_core::StreamKernel::Psb { k: 5 },
+        BatchKernel::Psb { k: 5 },
         cfg,
         opts,
         queries.len(),

@@ -122,12 +122,16 @@ fn zero_fault_recovery_is_bit_identical_to_the_plain_engine() {
     let opts = KernelOptions::default();
     let (ps, queries) = workload(4, 7500);
     let kd = LbKdTree::build(&ps);
-    let plain = stackfree_batch(&kd, &queries, K, &cfg, &opts).expect("plain");
-    let rec = stackfree_batch_recovering(&kd, &queries, K, &cfg, &opts, &FaultPlan::none())
-        .expect("recovering");
-    assert_eq!(rec.neighbors, plain.neighbors, "results must be bit-identical");
-    assert_eq!(rec.per_block, plain.per_block, "per-query counters must be bit-identical");
-    assert_eq!(rec.report.merged, plain.report.merged, "merged counters must be bit-identical");
+    assert!(opts.faults.is_noop(), "the default plan injects nothing");
+    // The plain engine, spelled out: the trusted per-query kernel in
+    // submission order, aggregated by the cost model.
+    let (neighbors, per_block): (Vec<_>, Vec<_>) =
+        queries.iter().map(|q| stackfree_query(&kd, q, K, &cfg, &opts)).unzip();
+    let merged = launch_blocks_fused(&cfg, 1, &per_block, opts.fuse, None).merged;
+    let rec = stackfree_batch(&kd, &queries, K, &cfg, &opts).expect("batch");
+    assert_eq!(rec.neighbors, neighbors, "results must be bit-identical");
+    assert_eq!(rec.per_block, per_block, "per-query counters must be bit-identical");
+    assert_eq!(rec.report.merged, merged, "merged counters must be bit-identical");
     assert!(rec.outcomes.iter().all(|o| matches!(o, QueryOutcome::Clean)));
 }
 
@@ -142,9 +146,9 @@ fn seeded_faults_never_cost_exactness() {
         let (ps, queries) = workload(dims, 7600 + dims as u64);
         let kd = LbKdTree::build(&ps);
         let clean = stackfree_batch(&kd, &queries, K, &cfg, &opts).expect("clean");
-        let plan = FaultPlan::bit_flips(0xF1A7 + dims as u64, 2);
-        let rec =
-            stackfree_batch_recovering(&kd, &queries, K, &cfg, &opts, &plan).expect("recovering");
+        let faulted =
+            KernelOptions { faults: FaultPlan::bit_flips(0xF1A7 + dims as u64, 2), ..opts.clone() };
+        let rec = stackfree_batch(&kd, &queries, K, &cfg, &faulted).expect("recovering");
         assert_neighbors_bit_identical(
             &rec.neighbors,
             &clean.neighbors,
@@ -162,8 +166,7 @@ fn seeded_faults_never_cost_exactness() {
         assert_eq!(rec.report.retried_queries, retried, "report vs outcomes: retried");
         assert_eq!(rec.report.degraded_queries, degraded, "report vs outcomes: degraded");
         // Determinism: the same plan replays to the same ladder and answers.
-        let again = stackfree_batch_recovering(&kd, &queries, K, &cfg, &opts, &plan)
-            .expect("recovering again");
+        let again = stackfree_batch(&kd, &queries, K, &cfg, &faulted).expect("recovering again");
         assert_eq!(again.neighbors, rec.neighbors);
         assert_eq!(again.outcomes, rec.outcomes);
     }

@@ -26,66 +26,77 @@ fn recording_sink_changes_no_simulation_output() {
         // PSB
         let silent = psb_query(&tree, q, k, &cfg, &opts);
         let mut sink = VecSink::new();
-        let traced = psb_query_traced(&tree, q, k, &cfg, &opts, &mut sink);
+        let traced = psb_try_query(&tree, q, k, &cfg, &opts, None, &mut sink).expect("valid tree");
         assert_eq!(silent, traced, "psb");
         assert!(!sink.events.is_empty(), "psb must emit events");
 
         // Branch-and-bound
         let silent = bnb_query(&tree, q, k, &cfg, &opts);
         let mut sink = VecSink::new();
-        let traced = bnb_query_traced(&tree, q, k, &cfg, &opts, &mut sink);
+        let traced = bnb_try_query(&tree, q, k, &cfg, &opts, None, &mut sink).expect("valid tree");
         assert_eq!(silent, traced, "bnb");
         assert!(!sink.events.is_empty(), "bnb must emit events");
 
         // Restart
         let silent = restart_query(&tree, q, k, &cfg, &opts);
         let mut sink = VecSink::new();
-        let traced = restart_query_traced(&tree, q, k, &cfg, &opts, &mut sink);
+        let traced =
+            restart_try_query(&tree, q, k, &cfg, &opts, None, &mut sink).expect("valid tree");
         assert_eq!(silent, traced, "restart");
 
         // Brute force
         let silent = brute_query(&ps, q, k, &cfg, &opts);
         let mut sink = VecSink::new();
-        let traced = brute_query_traced(&ps, q, k, &cfg, &opts, &mut sink);
+        let traced = brute_try_query(&ps, q, k, &cfg, &opts, None, &mut sink).expect("valid tree");
         assert_eq!(silent, traced, "brute");
 
         // Range
         let silent = range_query_gpu(&tree, q, 300.0, &cfg, &opts);
         let mut sink = VecSink::new();
-        let traced = range_query_gpu_traced(&tree, q, 300.0, &cfg, &opts, &mut sink);
+        let traced =
+            range_try_query(&tree, q, 300.0, &cfg, &opts, None, &mut sink).expect("valid tree");
         assert_eq!(silent, traced, "range");
     }
 
     // Task-parallel batch
     let (silent_n, silent_s) = tpss_batch(&tree, &queries, k, &cfg, 32);
     let mut sink = VecSink::new();
-    let (traced_n, traced_s) = tpss_batch_traced(&tree, &queries, k, &cfg, 32, &mut sink);
+    let (traced_n, traced_s) =
+        tpss_try_batch(&tree, &queries, k, &cfg, 32, &mut sink).expect("batch");
+    let traced_n: Vec<_> = traced_n.into_iter().map(|r| r.expect("valid tree")).collect();
     assert_eq!(silent_n, traced_n, "tpss neighbors");
     assert_eq!(silent_s, traced_s, "tpss stats");
     assert!(!sink.events.is_empty(), "tpss must emit events");
 }
 
 /// Satellite: batch-level no-op parity including the LaunchReport surface.
+/// Recording runs each query through the `try` kernel in query order; every
+/// query's neighbors and counters must equal the batch engine's for that
+/// query, and the report rebuilt from the traced counters must match.
 #[test]
 fn traced_batches_reproduce_untraced_reports() {
     let (_, tree, queries) = workload(77);
     let cfg = DeviceConfig::k40();
     let opts = KernelOptions::default();
-
-    let silent = psb_batch(&tree, &queries, 8, &cfg, &opts).expect("batch");
-    let mut sink = VecSink::new();
-    let traced = psb_batch_traced(&tree, &queries, 8, &cfg, &opts, &mut sink).expect("batch");
-    assert_eq!(silent.neighbors, traced.neighbors);
-    assert_eq!(silent.per_block, traced.per_block);
-    assert_eq!(silent.report.merged, traced.report.merged);
-    assert_eq!(silent.report.occupancy_min, traced.report.occupancy_min);
-    assert_eq!(silent.report.occupancy_max, traced.report.occupancy_max);
-
-    let silent = bnb_batch(&tree, &queries, 8, &cfg, &opts).expect("batch");
-    let mut sink = VecSink::new();
-    let traced = bnb_batch_traced(&tree, &queries, 8, &cfg, &opts, &mut sink).expect("batch");
-    assert_eq!(silent.neighbors, traced.neighbors);
-    assert_eq!(silent.report.merged, traced.report.merged);
+    type TryKernel<'a> =
+        &'a dyn Fn(&[f32], &mut VecSink) -> Result<(Vec<Neighbor>, KernelStats), KernelError>;
+    let psb: TryKernel = &|q, sink| psb_try_query(&tree, q, 8, &cfg, &opts, None, sink);
+    let bnb: TryKernel = &|q, sink| bnb_try_query(&tree, q, 8, &cfg, &opts, None, sink);
+    for (name, silent, kernel) in [
+        ("psb", psb_batch(&tree, &queries, 8, &cfg, &opts).expect("batch"), psb),
+        ("bnb", bnb_batch(&tree, &queries, 8, &cfg, &opts).expect("batch"), bnb),
+    ] {
+        let mut sink = VecSink::new();
+        let (neighbors, per_block): (Vec<_>, Vec<_>) =
+            queries.iter().map(|q| kernel(q, &mut sink).expect("valid tree")).unzip();
+        assert!(!sink.events.is_empty(), "{name} must emit events");
+        assert_eq!(silent.neighbors, neighbors, "{name}");
+        assert_eq!(silent.per_block, per_block, "{name}");
+        let traced = launch_blocks_fused(&cfg, 1, &per_block, opts.fuse, None);
+        assert_eq!(silent.report.merged, traced.merged, "{name}");
+        assert_eq!(silent.report.occupancy_min, traced.occupancy_min, "{name}");
+        assert_eq!(silent.report.occupancy_max, traced.occupancy_max, "{name}");
+    }
 }
 
 /// Every kernel's per-phase counters must sum exactly to its aggregates.
@@ -133,7 +144,8 @@ proptest! {
         let q = queries.point(0);
 
         let mut sink = VecSink::new();
-        let (_, stats) = psb_query_traced(&tree, q, k, &cfg, &opts, &mut sink);
+        let (_, stats) = psb_try_query(&tree, q, k, &cfg, &opts, None, &mut sink)
+            .expect("valid tree");
 
         // Always-on counters reconcile.
         prop_assert!(stats.phase_totals_consistent());

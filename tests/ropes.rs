@@ -171,8 +171,8 @@ fn missing_rope_links_are_a_typed_error_on_both_families() {
                 "{what} with {keep} rope links: want a CorruptNode error"
             );
         }
-        let plan = FaultPlan::none();
-        let got = restart_batch_recovering(&ss, &queries, 8, &cfg, &roped, &plan).expect("batch");
+        assert!(roped.faults.is_noop());
+        let got = restart_batch(&ss, &queries, 8, &cfg, &roped).expect("batch");
         assert_eq!(got.neighbors, want, "degraded answers must stay exact");
         assert!(got.outcomes.iter().all(|o| matches!(o, QueryOutcome::Degraded { .. })));
     }

@@ -9,7 +9,7 @@
 //! the per-query engine, across both index types, any buffer capacity ≥ 1,
 //! and with or without a metrics registry attached. Kernels the wave engine
 //! does not serve (brute force, TPSS) must ignore the option entirely, and
-//! the recovering runners must disable waves the moment a real fault plan is
+//! the batch engine must disable waves the moment a real fault plan is
 //! attached — the same fault-safe discipline as the sweep-replay memo.
 
 use proptest::prelude::*;
@@ -169,7 +169,7 @@ fn wave_composes_with_hilbert_scheduling() {
 fn wave_takes_the_fault_safe_path_when_faults_are_attached() {
     // The sweep-replay memo's discipline, inherited: a traversal that may
     // see corrupted bytes must never run through a shared fast path. With a
-    // real fault plan the recovering runners disable waves entirely, so the
+    // real fault plan the batch engine disables waves entirely, so the
     // wave-enabled run is bit-identical — counters, outcomes, retry/degrade
     // tallies — to the wave-free ladder, and corruption surfaces as typed
     // outcomes, never a panic.
@@ -183,31 +183,31 @@ fn wave_takes_the_fault_safe_path_when_faults_are_attached() {
     let wave = waved(&base, 1024);
 
     for plan in [FaultPlan::bit_flips(0xF00D, 2), FaultPlan::truncation(24)] {
-        let a = psb_batch_recovering(&tree, &queries, K, &cfg, &base, &plan).expect("ladder");
-        let b = psb_batch_recovering(&tree, &queries, K, &cfg, &wave, &plan).expect("wave ladder");
+        let base = KernelOptions { faults: plan.clone(), ..base.clone() };
+        let wave = KernelOptions { faults: plan, ..wave.clone() };
+        let a = psb_batch(&tree, &queries, K, &cfg, &base).expect("ladder");
+        let b = psb_batch(&tree, &queries, K, &cfg, &wave).expect("wave ladder");
         assert_batches_bit_identical(&a, &b, "faulted/psb");
         assert_eq!(a.report.retried_queries, b.report.retried_queries);
         assert_eq!(a.report.degraded_queries, b.report.degraded_queries);
 
-        let a = range_batch_recovering(&tree, &queries, RADIUS, &cfg, &base, &plan)
-            .expect("range ladder");
-        let b = range_batch_recovering(&tree, &queries, RADIUS, &cfg, &wave, &plan)
-            .expect("range wave ladder");
+        let a = range_batch(&tree, &queries, RADIUS, &cfg, &base).expect("range ladder");
+        let b = range_batch(&tree, &queries, RADIUS, &cfg, &wave).expect("range wave ladder");
         assert_batches_bit_identical(&a, &b, "faulted/range");
     }
 
     // The truncation plan must actually have tripped the ladder, or the
     // "typed errors, never panics" claim went untested.
-    let plan = FaultPlan::truncation(24);
-    let r = psb_batch_recovering(&tree, &queries, K, &cfg, &wave, &plan).expect("wave ladder");
+    let truncated = KernelOptions { faults: FaultPlan::truncation(24), ..wave.clone() };
+    let r = psb_batch(&tree, &queries, K, &cfg, &truncated).expect("wave ladder");
     let non_clean = r.outcomes.iter().filter(|o| !matches!(o, QueryOutcome::Clean)).count();
     assert!(non_clean > 0, "truncation plan never fired — fault path untested");
 
     // A no-op plan is the fault-free path: the wave engine serves it whole
     // batch, bit-identical to the plain wave entry point.
-    let plan = FaultPlan::none();
-    let a = psb_batch(&tree, &queries, K, &cfg, &wave).expect("wave");
-    let b = psb_batch_recovering(&tree, &queries, K, &cfg, &wave, &plan).expect("noop ladder");
+    assert!(wave.faults.is_noop());
+    let (a, _) = wave_knn_batch(&tree, &queries, K, &cfg, &wave).expect("wave");
+    let b = psb_batch(&tree, &queries, K, &cfg, &wave).expect("noop ladder");
     assert_batches_bit_identical(&a, &b, "noop/psb");
     assert!(b.outcomes.iter().all(|o| matches!(o, QueryOutcome::Clean)));
 }
@@ -265,7 +265,7 @@ fn streamed_wave_chunks_agree_with_the_wave_batch_engine() {
     let whole = psb_batch(&tree, &queries, K, &cfg, &opts).expect("wave batch");
     let mut stream = psb_core::QueryStream::with_chunk_size(
         &tree,
-        psb_core::StreamKernel::Psb { k: K },
+        BatchKernel::Psb { k: K },
         cfg.clone(),
         opts.clone(),
         queries.len(),
@@ -282,7 +282,7 @@ fn streamed_wave_chunks_agree_with_the_wave_batch_engine() {
     let base = psb_batch(&tree, &queries, K, &cfg, &KernelOptions::default()).expect("per-query");
     let mut stream = psb_core::QueryStream::with_chunk_size(
         &tree,
-        psb_core::StreamKernel::Psb { k: K },
+        BatchKernel::Psb { k: K },
         cfg.clone(),
         opts.clone(),
         7,
@@ -300,7 +300,7 @@ fn streamed_wave_chunks_agree_with_the_wave_batch_engine() {
     let whole = range_batch(&tree, &queries, RADIUS, &cfg, &opts).expect("wave range");
     let mut stream = psb_core::QueryStream::with_chunk_size(
         &tree,
-        psb_core::StreamKernel::Range { radius: RADIUS },
+        BatchKernel::Range { radius: RADIUS },
         cfg.clone(),
         opts,
         queries.len(),
